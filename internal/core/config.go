@@ -38,19 +38,23 @@ type Config struct {
 
 	// DedupEpsilon merges ε-close normalized measurement vectors into one
 	// representative state (§4's SMACOF cost optimization). Defaults to
-	// 0.05 when 0; negative disables merging.
+	// 0.03 when 0; negative disables merging.
 	DedupEpsilon float64
-	// RefreshEvery runs a full (warm-started, Procrustes-aligned) SMACOF
-	// refresh after this many newly created states; between refreshes new
-	// states are placed incrementally. Defaults to 8 when 0.
+	// RefreshEvery schedules a full embedding refresh — solved cold from a
+	// Torgerson start, then Procrustes-aligned onto the previous layout —
+	// after this many newly created states; between refreshes new states
+	// are placed incrementally. Defaults to 8 when 0.
 	RefreshEvery int
 	// SeriesWindow bounds the retained measurement history. Defaults to
 	// 512 when 0.
 	SeriesWindow int
 	// LandmarkThreshold switches full-embedding refreshes to landmark MDS
 	// (§4's cited fast approximation) once the state space exceeds this
-	// many states, using the threshold as the landmark count. 0 always
-	// solves the full problem.
+	// many states, using the threshold as the landmark count. From then on
+	// the landmark set is kept: new states are placed against it alone and
+	// a scheduled refresh re-solves only when a new state fell outside the
+	// set's covering radius. 0 always solves the full problem;
+	// DefaultConfig sets 128.
 	LandmarkThreshold int
 
 	// Predictor, Trajectory and Throttle tune the subcomponents; zero
@@ -106,17 +110,18 @@ type Config struct {
 // batch containers on a host with the given normalization ranges.
 func DefaultConfig(sensitiveID string, batchIDs []string, ranges map[metrics.Metric]metrics.Range) Config {
 	return Config{
-		SensitiveID:    sensitiveID,
-		BatchIDs:       batchIDs,
-		LogicalBatchVM: "batch",
-		Ranges:         ranges,
-		DedupEpsilon:   0.03,
-		RefreshEvery:   8,
-		SeriesWindow:   512,
-		Predictor:      predictor.DefaultConfig(),
-		Trajectory:     trajectory.DefaultModelConfig(),
-		Throttle:       throttle.DefaultConfig(),
-		Seed:           1,
+		SensitiveID:       sensitiveID,
+		BatchIDs:          batchIDs,
+		LogicalBatchVM:    "batch",
+		Ranges:            ranges,
+		DedupEpsilon:      0.03,
+		RefreshEvery:      8,
+		SeriesWindow:      512,
+		LandmarkThreshold: 128,
+		Predictor:         predictor.DefaultConfig(),
+		Trajectory:        trajectory.DefaultModelConfig(),
+		Throttle:          throttle.DefaultConfig(),
+		Seed:              1,
 	}
 }
 

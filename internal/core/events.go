@@ -97,10 +97,13 @@ type Report struct {
 	// States and ViolationStates describe the learned space.
 	States          int
 	ViolationStates int
-	// Refreshes counts full SMACOF refreshes; LastStress is the stress-1
-	// of the most recent one.
-	Refreshes  int
-	LastStress float64
+	// Refreshes counts embeddings actually re-solved (SMACOF, or landmark
+	// MDS above Config.LandmarkThreshold); LastStress is the stress-1 of
+	// the most recent one. RefreshesSkipped counts scheduled refreshes
+	// the retained landmark basis made unnecessary.
+	Refreshes        int
+	RefreshesSkipped int
+	LastStress       float64
 	// Accuracy, Precision and Recall score one-period-ahead violation
 	// prediction against reported outcomes.
 	Accuracy  float64
@@ -112,9 +115,9 @@ type Report struct {
 func (r Report) String() string {
 	return fmt.Sprintf(
 		"periods=%d violations=%d predicted=%d pauses=%d limits=%d resumes=%d (random=%d)\n"+
-			"states=%d (violation=%d, unverified=%d) refreshes=%d stress=%.4f qos_stale=%d\n"+
+			"states=%d (violation=%d, unverified=%d) refreshes=%d (skipped=%d) stress=%.4f qos_stale=%d\n"+
 			"prediction: accuracy=%.3f precision=%.3f recall=%.3f",
 		r.Periods, r.Violations, r.PredictedViolations, r.Pauses, r.Limits, r.Resumes, r.RandomResumes,
-		r.States, r.ViolationStates, r.UnverifiedStates, r.Refreshes, r.LastStress, r.QoSStalePeriods,
+		r.States, r.ViolationStates, r.UnverifiedStates, r.Refreshes, r.RefreshesSkipped, r.LastStress, r.QoSStalePeriods,
 		r.Accuracy, r.Precision, r.Recall)
 }

@@ -244,6 +244,7 @@ func (l *Lane) Report() Report {
 	rep.ViolationStates = len(space.ViolationIDs())
 	rep.UnverifiedStates = len(space.UnverifiedIDs())
 	rep.Refreshes = l.ms.refreshes
+	rep.RefreshesSkipped = l.ms.refreshesSkipped
 	rep.LastStress = l.ms.stress
 	tracker := l.fs.Tracker()
 	rep.Accuracy = tracker.Accuracy()

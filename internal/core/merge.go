@@ -98,7 +98,11 @@ func (m *mapStage) MergeTemplate(t *statespace.Template, period int) (MergeStats
 
 	// A bulk adoption degrades incremental-placement quality the same way
 	// a burst of organic new states would; let the periodic SMACOF refresh
-	// fire on the same schedule.
+	// fire on the same schedule. Adopted states arrive at the fleet's
+	// coordinates, not placed against the landmark basis, so the basis goes.
+	if out.Added > 0 {
+		m.dropBasis()
+	}
 	m.createdSinceSMAC += out.Added
 	if m.cfg.RefreshEvery > 0 && m.createdSinceSMAC >= m.cfg.RefreshEvery && m.space.Len() >= 3 {
 		if err := m.refreshEmbedding(); err != nil {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"repro/internal/mds"
@@ -23,12 +24,30 @@ type mapStage struct {
 	space      *statespace.Space
 	series     *metrics.Series
 
+	// isBatch is the set of Config.BatchIDs, for role aggregation.
+	isBatch map[string]bool
+
 	createdSinceSMAC int
 	// qosSilent counts consecutive periods without a fresh QoS report; at
 	// Config.QoSStaleAfter the signal is considered stale.
 	qosSilent int
 	refreshes int
 	stress    float64
+
+	// The persistent landmark basis: the landmark set of the last landmark
+	// solve and the radius within which it covers the states that solve
+	// saw. The landmark configuration itself is not kept — it is the
+	// landmarks' coordinates in the space. While the basis stands, a new
+	// state is placed against the landmarks only and a scheduled refresh
+	// has nothing to re-solve unless uncovered is set: a state arrived
+	// farther than coverRadius from every landmark, one the farthest-point
+	// selection would have made a landmark. nil below
+	// Config.LandmarkThreshold and after the map was replaced or merged
+	// into.
+	landmarks        []int
+	coverRadius      float64
+	uncovered        bool
+	refreshesSkipped int
 }
 
 var _ Mapper = (*mapStage)(nil)
@@ -58,6 +77,10 @@ func newMapStage(cfg Config, rng *rand.Rand) (*mapStage, error) {
 	}
 	space := statespace.NewSpace()
 	space.SetRangePolicy(cfg.RangePolicy)
+	isBatch := make(map[string]bool, len(cfg.BatchIDs))
+	for _, id := range cfg.BatchIDs {
+		isBatch[id] = true
+	}
 	return &mapStage{
 		cfg:        cfg,
 		rng:        rng,
@@ -66,6 +89,7 @@ func newMapStage(cfg Config, rng *rand.Rand) (*mapStage, error) {
 		reducer:    mds.NewOnlineReducer(eps),
 		space:      space,
 		series:     series,
+		isBatch:    isBatch,
 	}, nil
 }
 
@@ -77,12 +101,8 @@ func (m *mapStage) Map(in PeriodInput) (MapOutcome, error) {
 	var out MapOutcome
 	samples := in.Samples
 	if !m.cfg.DisableBatchAggregation {
-		isBatch := make(map[string]bool, len(m.cfg.BatchIDs))
-		for _, id := range m.cfg.BatchIDs {
-			isBatch[id] = true
-		}
 		samples = metrics.AggregateByRole(m.cfg.LogicalBatchVM, samples,
-			func(vm string) bool { return isBatch[vm] })
+			func(vm string) bool { return m.isBatch[vm] })
 	}
 	normalized := m.normalizer.NormalizeAll(samples)
 	vec, err := m.schema.Flatten(normalized)
@@ -97,11 +117,7 @@ func (m *mapStage) Map(in PeriodInput) (MapOutcome, error) {
 	}
 	out.StateID = stateID
 	out.NewState = created
-	st, err := m.space.State(stateID)
-	if err != nil {
-		return out, err
-	}
-	out.Coord = st.Coord
+	out.Coord, _ = m.space.At(stateID)
 
 	if in.Violation {
 		if err := m.space.MarkViolation(stateID); err != nil {
@@ -152,15 +168,7 @@ func (m *mapStage) mapVector(period int, vec []float64) (stateID int, created bo
 		return rep, false, nil
 	}
 
-	// Incremental placement against the existing configuration (§4's
-	// low-overhead path).
-	coords := m.space.Coords()
-	delta := make([]float64, len(coords))
-	vectors := m.space.Vectors()
-	for i, v := range vectors {
-		delta[i] = mds.Euclidean(vec, v)
-	}
-	pos, _, err := mds.Place(coords, delta, mds.PlaceOptions{})
+	pos, err := m.place(vec)
 	if err != nil {
 		return 0, false, fmt.Errorf("core: incremental placement: %w", err)
 	}
@@ -186,9 +194,50 @@ func (m *mapStage) mapVector(period int, vec []float64) (stateID int, created bo
 	return id, true, nil
 }
 
+// place positions a new state's vector in the current layout by
+// incremental placement (§4's low-overhead path): against every state, or
+// against the landmarks alone while a landmark basis stands — the same
+// triangulation the landmark solve itself gave every non-landmark.
+func (m *mapStage) place(vec []float64) (mds.Coord, error) {
+	if m.landmarks == nil {
+		coords := m.space.Coords()
+		delta := make([]float64, len(coords))
+		for i, v := range m.space.Vectors() {
+			delta[i] = mds.Euclidean(vec, v)
+		}
+		pos, _, err := mds.Place(coords, delta, mds.PlaceOptions{})
+		return pos, err
+	}
+	// Stack scratch up to 256 landmarks; append moves to the heap past it.
+	var coordBuf [256]mds.Coord
+	var deltaBuf [256]float64
+	coords, delta := coordBuf[:0], deltaBuf[:0]
+	nearest := math.Inf(1)
+	for _, id := range m.landmarks {
+		c, v := m.space.At(id)
+		d := mds.Euclidean(vec, v)
+		coords, delta = append(coords, c), append(delta, d)
+		nearest = math.Min(nearest, d)
+	}
+	if nearest > m.coverRadius {
+		m.uncovered = true
+	}
+	pos, _, err := mds.Place(coords, delta, mds.PlaceOptions{})
+	return pos, err
+}
+
 // refreshEmbedding re-solves the full MDS problem and keeps the layout
-// aligned with the previous one.
+// aligned with the previous one — unless a landmark basis stands and
+// still covers every state, in which case there is nothing to re-solve:
+// representative vectors never move, so the landmark subproblem is the one
+// already solved, every later state already sits where that solution puts
+// it, and a fresh solve would only redraw the landmark set and shuffle
+// every coordinate.
 func (m *mapStage) refreshEmbedding() error {
+	if m.landmarks != nil && !m.uncovered {
+		m.refreshesSkipped++
+		return nil
+	}
 	vectors := m.space.Vectors()
 	// Solve from a Torgerson (classical-scaling) start rather than the
 	// current layout: incremental placement can degenerate toward
@@ -208,6 +257,7 @@ func (m *mapStage) refreshEmbedding() error {
 			return fmt.Errorf("core: landmark refresh: %w", err)
 		}
 		config, stress = res.Config, res.Stress
+		m.landmarks, m.coverRadius, m.uncovered = res.Landmarks, res.CoverRadius, false
 	} else {
 		delta, err := mds.DistanceMatrix(vectors)
 		if err != nil {
@@ -229,6 +279,13 @@ func (m *mapStage) refreshEmbedding() error {
 	m.refreshes++
 	m.stress = stress
 	return nil
+}
+
+// dropBasis forgets the landmark basis: the map holds states that were not
+// placed against it (an imported or restored map, states a merge adopted),
+// so the next scheduled refresh solves afresh.
+func (m *mapStage) dropBasis() {
+	m.landmarks, m.coverRadius, m.uncovered = nil, 0, false
 }
 
 // importSpace adopts an externally built space (template import /
@@ -255,5 +312,6 @@ func (m *mapStage) importSpace(space *statespace.Space, ranges map[metrics.Metri
 	space.SetRangePolicy(m.cfg.RangePolicy)
 	m.space = space
 	m.reducer = reducer
+	m.dropBasis()
 	return nil
 }

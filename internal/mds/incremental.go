@@ -81,13 +81,20 @@ func Place(x []Coord, delta []float64, opts PlaceOptions) (Coord, float64, error
 	}
 	y.Y += 1e-3*spread + 1e-9
 
-	prev := pointStress(x, delta, y)
+	// dist holds each anchor's distance from the current y: the stress
+	// evaluation computes them and the majorization step that follows
+	// reads them back. Up to 256 anchors it lives on the stack.
+	var buf [256]float64
+	dist := buf[:]
+	if len(x) > len(buf) {
+		dist = make([]float64, len(x))
+	}
+	prev := pointStress(x, delta, y, dist)
 	invN := 1 / float64(len(x))
 	for iter := 0; iter < maxIter; iter++ {
 		var sx, sy float64
 		for i, p := range x {
-			d := y.Dist(p)
-			if d > 0 {
+			if d := dist[i]; d > 0 {
 				r := delta[i] / d
 				sx += p.X + r*(y.X-p.X)
 				sy += p.Y + r*(y.Y-p.Y)
@@ -100,7 +107,7 @@ func Place(x []Coord, delta []float64, opts PlaceOptions) (Coord, float64, error
 			}
 		}
 		y = Coord{sx * invN, sy * invN}
-		cur := pointStress(x, delta, y)
+		cur := pointStress(x, delta, y, dist)
 		if prev > 0 && (prev-cur)/prev < eps {
 			prev = cur
 			break
@@ -110,11 +117,14 @@ func Place(x []Coord, delta []float64, opts PlaceOptions) (Coord, float64, error
 	return y, prev, nil
 }
 
-// pointStress is the single-point raw stress Σ (δ_i − ‖y−x_i‖)².
-func pointStress(x []Coord, delta []float64, y Coord) float64 {
+// pointStress is the single-point raw stress Σ (δ_i − ‖y−x_i‖)². It
+// leaves ‖y−x_i‖ in dist[i].
+func pointStress(x []Coord, delta []float64, y Coord, dist []float64) float64 {
 	var s float64
 	for i, p := range x {
-		diff := delta[i] - y.Dist(p)
+		d := y.Dist(p)
+		dist[i] = d
+		diff := delta[i] - d
 		s += diff * diff
 	}
 	return s

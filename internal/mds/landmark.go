@@ -21,6 +21,11 @@ type LandmarkResult struct {
 	// Stress is the normalized stress-1 of the *full* configuration
 	// against the complete dissimilarity matrix.
 	Stress float64
+	// CoverRadius is the largest dissimilarity between any point and its
+	// nearest landmark: the landmark set covers the data to within it. A
+	// later point farther than this from every landmark is one the
+	// farthest-point selection would have picked.
+	CoverRadius float64
 }
 
 // LandmarkMDS embeds delta using k landmarks chosen by greedy farthest-
@@ -78,7 +83,7 @@ func landmarkMDS(n, k int, dist func(i, j int) float64, opts Options) (*Landmark
 		k = n
 	}
 
-	landmarks := maxminLandmarks(n, k, dist, opts.RNG)
+	landmarks, cover := maxminLandmarks(n, k, dist, opts.RNG)
 
 	// Full SMACOF on the landmark submatrix.
 	sub, err := NewMatrix(len(landmarks))
@@ -122,32 +127,38 @@ func landmarkMDS(n, k int, dist func(i, j int) float64, opts Options) (*Landmark
 	}
 	centerConfig(config)
 	return &LandmarkResult{
-		Config:    config,
-		Landmarks: landmarks,
-		Stress:    res.Stress,
+		Config:      config,
+		Landmarks:   landmarks,
+		Stress:      res.Stress,
+		CoverRadius: cover,
 	}, nil
 }
 
 // maxminLandmarks greedily picks k points maximizing the minimum distance
 // to already-chosen landmarks, starting from a random seed point. This is
 // the standard farthest-point heuristic: it spreads landmarks across the
-// data's extent so the triangulation anchors every region.
-func maxminLandmarks(n, k int, dist func(i, j int) float64, rng *rand.Rand) []int {
+// data's extent so the triangulation anchors every region. The second
+// result is the covering radius — the distance from the farthest
+// remaining point to its nearest landmark, which the selection has in
+// hand as the score of the point it would pick next.
+func maxminLandmarks(n, k int, dist func(i, j int) float64, rng *rand.Rand) ([]int, float64) {
 	chosen := make([]int, 0, k)
 	minDist := make([]float64, n)
 	for i := range minDist {
 		minDist[i] = math.Inf(1)
 	}
+	var cover float64
 	next := rng.Intn(n)
 	for len(chosen) < k {
 		chosen = append(chosen, next)
-		best, bestD := -1, -1.0
+		best := -1
+		cover = 0
 		for i := 0; i < n; i++ {
 			if d := dist(i, next); d < minDist[i] {
 				minDist[i] = d
 			}
-			if minDist[i] > bestD && minDist[i] > 0 {
-				best, bestD = i, minDist[i]
+			if minDist[i] > cover {
+				best, cover = i, minDist[i]
 			}
 		}
 		if best < 0 {
@@ -155,5 +166,5 @@ func maxminLandmarks(n, k int, dist func(i, j int) float64, rng *rand.Rand) []in
 		}
 		next = best
 	}
-	return chosen
+	return chosen, cover
 }

@@ -1,6 +1,7 @@
 package mds
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -119,7 +120,7 @@ func TestMaxminLandmarksSpread(t *testing.T) {
 	// Two far clusters: the first two landmarks must hit both clusters.
 	truth := []Coord{{0, 0}, {0.1, 0}, {0.2, 0}, {10, 0}, {10.1, 0}, {10.2, 0}}
 	delta := planted2D(truth)
-	lms := maxminLandmarks(delta.Size(), 2, delta.At, rand.New(rand.NewSource(5)))
+	lms, _ := maxminLandmarks(delta.Size(), 2, delta.At, rand.New(rand.NewSource(5)))
 	if len(lms) != 2 {
 		t.Fatalf("landmarks = %v", lms)
 	}
@@ -127,6 +128,33 @@ func TestMaxminLandmarksSpread(t *testing.T) {
 	sideB := lms[1] < 3
 	if sideA == sideB {
 		t.Errorf("landmarks %v landed in one cluster", lms)
+	}
+}
+
+func TestLandmarkCoverRadius(t *testing.T) {
+	// CoverRadius is the farthest any point sits from its nearest
+	// landmark, and 0 once every point is a landmark.
+	rng := rand.New(rand.NewSource(17))
+	vecs := clusteredVectors(rng, 30)
+	for _, k := range []int{3, 10, len(vecs)} {
+		res, err := LandmarkMDSVectors(vecs, k, DefaultOptions(rng))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want float64
+		for _, v := range vecs {
+			nearest := math.Inf(1)
+			for _, l := range res.Landmarks {
+				nearest = math.Min(nearest, Euclidean(v, vecs[l]))
+			}
+			want = math.Max(want, nearest)
+		}
+		if res.CoverRadius != want {
+			t.Errorf("k=%d: CoverRadius %v, brute force %v", k, res.CoverRadius, want)
+		}
+		if k == len(vecs) && res.CoverRadius != 0 {
+			t.Errorf("k=n: CoverRadius %v, want 0", res.CoverRadius)
+		}
 	}
 }
 

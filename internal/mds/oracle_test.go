@@ -1,0 +1,296 @@
+package mds
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"testing"
+)
+
+// Differential oracles for the fused kernels. referenceSMACOF and
+// referencePlace are the implementations SMACOF and Place replaced: one
+// pass over the pair distances for the Guttman transform, another for the
+// stress, a fresh configuration per iteration. The fused kernels must
+// reproduce them bit for bit — the claim is "same arithmetic, fewer
+// square roots", so no tolerance is accepted.
+
+// guttman applies one (unweighted) Guttman transform: X' = n⁻¹ B(X) X with
+// b_ij = −δ_ij/d_ij for i≠j (0 when d_ij = 0) and b_ii = −Σ_{j≠i} b_ij.
+func guttman(delta *Matrix, x []Coord) []Coord {
+	n := len(x)
+	out := make([]Coord, n)
+	invN := 1 / float64(n)
+	for i := 0; i < n; i++ {
+		var sx, sy, diag float64
+		for j := 0; j < n; j++ {
+			if j == i {
+				continue
+			}
+			d := x[i].Dist(x[j])
+			var b float64
+			if d > 0 {
+				b = -delta.At(i, j) / d
+			}
+			sx += b * x[j].X
+			sy += b * x[j].Y
+			diag -= b
+		}
+		out[i].X = (diag*x[i].X + sx) * invN
+		out[i].Y = (diag*x[i].Y + sy) * invN
+	}
+	return out
+}
+
+func referenceSMACOF(delta *Matrix, opts Options) *Result {
+	n := delta.Size()
+	var x []Coord
+	if opts.Init != nil {
+		x = append([]Coord(nil), opts.Init...)
+	} else {
+		x = Torgerson(delta, opts.RNG)
+	}
+	if n == 1 {
+		return &Result{Config: []Coord{{}}, Converged: true}
+	}
+	prev := RawStress(delta, x)
+	res := &Result{}
+	for iter := 1; iter <= opts.MaxIter; iter++ {
+		x = guttman(delta, x)
+		cur := RawStress(delta, x)
+		res.Iterations = iter
+		if prev > 0 && (prev-cur)/prev < opts.Epsilon {
+			res.Converged = true
+			prev = cur
+			break
+		}
+		if cur == 0 {
+			res.Converged = true
+			prev = cur
+			break
+		}
+		prev = cur
+	}
+	centerConfig(x)
+	res.Config = x
+	res.RawStress = prev
+	res.Stress = Stress1(delta, x)
+	return res
+}
+
+func referencePointStress(x []Coord, delta []float64, y Coord) float64 {
+	var s float64
+	for i, p := range x {
+		diff := delta[i] - y.Dist(p)
+		s += diff * diff
+	}
+	return s
+}
+
+func referencePlace(x []Coord, delta []float64, opts PlaceOptions) (Coord, float64) {
+	if len(x) == 0 {
+		return Coord{}, 0
+	}
+	maxIter := opts.MaxIter
+	if maxIter <= 0 {
+		maxIter = 50
+	}
+	eps := opts.Epsilon
+	if eps <= 0 {
+		eps = 1e-9
+	}
+	best := 0
+	for i, d := range delta {
+		if d < delta[best] {
+			best = i
+		}
+	}
+	var centroid Coord
+	for _, p := range x {
+		centroid = centroid.Add(p)
+	}
+	centroid = centroid.Scale(1 / float64(len(x)))
+	y := x[best].Scale(0.9).Add(centroid.Scale(0.1))
+	if len(x) == 1 {
+		return Coord{X: x[0].X + delta[0], Y: x[0].Y}, 0
+	}
+	var spread float64
+	for _, p := range x {
+		d := p.Sub(centroid)
+		if s := math.Abs(d.X) + math.Abs(d.Y); s > spread {
+			spread = s
+		}
+	}
+	y.Y += 1e-3*spread + 1e-9
+
+	prev := referencePointStress(x, delta, y)
+	invN := 1 / float64(len(x))
+	for iter := 0; iter < maxIter; iter++ {
+		var sx, sy float64
+		for i, p := range x {
+			d := y.Dist(p)
+			if d > 0 {
+				r := delta[i] / d
+				sx += p.X + r*(y.X-p.X)
+				sy += p.Y + r*(y.Y-p.Y)
+			} else {
+				sx += p.X
+				sy += p.Y
+			}
+		}
+		y = Coord{sx * invN, sy * invN}
+		cur := referencePointStress(x, delta, y)
+		if prev > 0 && (prev-cur)/prev < eps {
+			prev = cur
+			break
+		}
+		prev = cur
+	}
+	return y, prev
+}
+
+func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+
+func sameCoordBits(a, b Coord) bool { return sameBits(a.X, b.X) && sameBits(a.Y, b.Y) }
+
+// oracleConfigs are the point sets both oracles run over: random clouds
+// across the sizes that matter (including one past Place's stack buffer),
+// exactly collinear points, coincident points, duplicates inside a cloud,
+// and the degenerate sizes 1–3.
+func oracleConfigs(rng *rand.Rand) map[string][]Coord {
+	random := func(n int) []Coord {
+		out := make([]Coord, n)
+		for i := range out {
+			out[i] = Coord{rng.NormFloat64() * 3, rng.NormFloat64()}
+		}
+		return out
+	}
+	collinear := make([]Coord, 12)
+	for i := range collinear {
+		collinear[i] = Coord{float64(i) * 0.5, 0}
+	}
+	diagonal := make([]Coord, 9)
+	for i := range diagonal {
+		diagonal[i] = Coord{float64(i), 2 * float64(i)}
+	}
+	withDuplicates := random(20)
+	copy(withDuplicates[10:], withDuplicates[:10])
+	return map[string][]Coord{
+		"n=1":            random(1),
+		"n=2":            random(2),
+		"n=3":            random(3),
+		"random-10":      random(10),
+		"random-64":      random(64),
+		"random-300":     random(300),
+		"collinear":      collinear,
+		"diagonal":       diagonal,
+		"coincident":     make([]Coord, 7),
+		"two-coincident": {{1, 1}, {1, 1}},
+		"duplicates":     withDuplicates,
+	}
+}
+
+func TestSMACOFMatchesReferenceBitForBit(t *testing.T) {
+	rng := rand.New(rand.NewSource(20140801))
+	for name, truth := range oracleConfigs(rng) {
+		n := len(truth)
+		exact := planted2D(truth)
+		// The same points seen through noisy dissimilarities never reach
+		// zero stress, so the iteration runs long.
+		noisy, _ := NewMatrix(n)
+		for i := 0; i < n; i++ {
+			for j := i + 1; j < n; j++ {
+				noisy.Set(i, j, exact.At(i, j)*(0.7+0.6*rng.Float64()))
+			}
+		}
+		for kind, delta := range map[string]*Matrix{"exact": exact, "noisy": noisy} {
+			inits := map[string][]Coord{"torgerson": nil, "random": randomConfig(n, rng), "coincident": make([]Coord, n)}
+			for initName, init := range inits {
+				seed := rng.Int63()
+				opts := DefaultOptions(rand.New(rand.NewSource(seed)))
+				opts.Init = init
+				got, err := SMACOF(delta, opts)
+				if err != nil {
+					t.Fatalf("%s/%s/%s: %v", name, kind, initName, err)
+				}
+				opts.RNG = rand.New(rand.NewSource(seed))
+				want := referenceSMACOF(delta, opts)
+				label := fmt.Sprintf("%s/%s/%s", name, kind, initName)
+				if got.Iterations != want.Iterations || got.Converged != want.Converged {
+					t.Errorf("%s: %d iterations (converged %v), reference %d (%v)",
+						label, got.Iterations, got.Converged, want.Iterations, want.Converged)
+				}
+				if !sameBits(got.Stress, want.Stress) || !sameBits(got.RawStress, want.RawStress) {
+					t.Errorf("%s: stress %v raw %v, reference %v raw %v",
+						label, got.Stress, got.RawStress, want.Stress, want.RawStress)
+				}
+				for i := range want.Config {
+					if !sameCoordBits(got.Config[i], want.Config[i]) {
+						t.Errorf("%s: point %d at %v, reference %v", label, i, got.Config[i], want.Config[i])
+						break
+					}
+				}
+			}
+		}
+	}
+}
+
+func TestSMACOFLeavesInitUntouched(t *testing.T) {
+	// The buffers swap every iteration; the caller's Init must not be one
+	// of them.
+	rng := rand.New(rand.NewSource(3))
+	truth := []Coord{{0, 0}, {1, 0}, {0, 1}, {2, 2}, {3, 1}}
+	init := randomConfig(len(truth), rng)
+	keep := append([]Coord(nil), init...)
+	opts := DefaultOptions(rng)
+	opts.Init = init
+	if _, err := SMACOF(planted2D(truth), opts); err != nil {
+		t.Fatal(err)
+	}
+	for i := range init {
+		if init[i] != keep[i] {
+			t.Fatalf("Init[%d] changed from %v to %v", i, keep[i], init[i])
+		}
+	}
+}
+
+func TestPlaceMatchesReferenceBitForBit(t *testing.T) {
+	rng := rand.New(rand.NewSource(20140802))
+	for name, anchors := range oracleConfigs(rng) {
+		targets := []Coord{
+			{rng.NormFloat64(), rng.NormFloat64()},
+			{50, -50},
+			anchors[0], // zero dissimilarity to an anchor
+			anchors[len(anchors)-1],
+		}
+		for ti, target := range targets {
+			for _, noise := range []float64{0, 0.4} {
+				delta := make([]float64, len(anchors))
+				for i, a := range anchors {
+					delta[i] = target.Dist(a) * (1 + noise*rng.Float64())
+				}
+				for _, opts := range []PlaceOptions{{}, {MaxIter: 3}, {MaxIter: 500, Epsilon: 1e-15}} {
+					got, gotStress, err := Place(anchors, delta, opts)
+					if err != nil {
+						t.Fatalf("%s target %d: %v", name, ti, err)
+					}
+					want, wantStress := referencePlace(anchors, delta, opts)
+					if !sameCoordBits(got, want) || !sameBits(gotStress, wantStress) {
+						t.Errorf("%s target %d noise %v opts %+v: placed %v stress %v, reference %v stress %v",
+							name, ti, noise, opts, got, gotStress, want, wantStress)
+					}
+				}
+			}
+		}
+	}
+	// All dissimilarities zero against coincident anchors: every distance
+	// is zero and the majorizer sits on its singular branch throughout.
+	anchors := make([]Coord, 4)
+	got, gotStress, err := Place(anchors, make([]float64, 4), PlaceOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, wantStress := referencePlace(anchors, make([]float64, 4), PlaceOptions{})
+	if !sameCoordBits(got, want) || !sameBits(gotStress, wantStress) {
+		t.Errorf("coincident anchors: placed %v stress %v, reference %v stress %v", got, gotStress, want, wantStress)
+	}
+}

@@ -77,11 +77,17 @@ func SMACOF(delta *Matrix, opts Options) (*Result, error) {
 		return &Result{Config: []Coord{{}}, Converged: true}, nil
 	}
 
-	prev := RawStress(delta, x)
+	// A configuration's pairwise distances feed both its stress and its
+	// Guttman transform, so guttmanStep computes them once for the two and
+	// the buffers swap roles every iteration. The price is one transform
+	// that goes unused: the one written beside the final stress.
+	next := make([]Coord, n)
+	diag := make([]float64, n)
+	prev := guttmanStep(delta, x, next, diag)
 	res := &Result{}
 	for iter := 1; iter <= opts.MaxIter; iter++ {
-		x = guttman(delta, x)
-		cur := RawStress(delta, x)
+		x, next = next, x
+		cur := guttmanStep(delta, x, next, diag)
 		res.Iterations = iter
 		if prev > 0 && (prev-cur)/prev < opts.Epsilon {
 			res.Converged = true
@@ -102,31 +108,45 @@ func SMACOF(delta *Matrix, opts Options) (*Result, error) {
 	return res, nil
 }
 
-// guttman applies one (unweighted) Guttman transform: X' = n⁻¹ B(X) X with
-// b_ij = −δ_ij/d_ij for i≠j (0 when d_ij = 0) and b_ii = −Σ_{j≠i} b_ij.
-func guttman(delta *Matrix, x []Coord) []Coord {
+// guttmanStep writes the (unweighted) Guttman transform of x into out —
+// X' = n⁻¹ B(X) X with b_ij = −δ_ij/d_ij for i≠j (0 when d_ij = 0) and
+// b_ii = −Σ_{j≠i} b_ij — and returns the raw stress σ(x), computing each
+// pair distance once for both. diag is scratch of length n. Every row
+// accumulates its terms in ascending j and the stress sums in (i, j)
+// order, so both results carry the same bits as summing them separately.
+func guttmanStep(delta *Matrix, x, out []Coord, diag []float64) float64 {
 	n := len(x)
-	out := make([]Coord, n)
-	invN := 1 / float64(n)
+	for i := range out {
+		out[i] = Coord{}
+		diag[i] = 0
+	}
+	var stress float64
 	for i := 0; i < n; i++ {
-		var sx, sy, diag float64
-		for j := 0; j < n; j++ {
-			if j == i {
-				continue
-			}
-			d := x[i].Dist(x[j])
+		xi := x[i]
+		for j := i + 1; j < n; j++ {
+			xj := x[j]
+			d := xi.Dist(xj)
+			dij := delta.At(i, j)
+			diff := dij - d
+			stress += diff * diff
 			var b float64
 			if d > 0 {
-				b = -delta.At(i, j) / d
+				b = -dij / d
 			}
-			sx += b * x[j].X
-			sy += b * x[j].Y
-			diag -= b
+			out[i].X += b * xj.X
+			out[i].Y += b * xj.Y
+			diag[i] -= b
+			out[j].X += b * xi.X
+			out[j].Y += b * xi.Y
+			diag[j] -= b
 		}
-		out[i].X = (diag*x[i].X + sx) * invN
-		out[i].Y = (diag*x[i].Y + sy) * invN
 	}
-	return out
+	invN := 1 / float64(n)
+	for i := range out {
+		out[i].X = (diag[i]*x[i].X + out[i].X) * invN
+		out[i].Y = (diag[i]*x[i].Y + out[i].Y) * invN
+	}
+	return stress
 }
 
 // Torgerson computes a classical-scaling starting configuration: double

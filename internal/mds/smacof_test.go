@@ -102,10 +102,11 @@ func TestSMACOFMonotoneStress(t *testing.T) {
 	}
 	delta, _ := DistanceMatrix(vecs)
 	x := randomConfig(15, rng)
-	prev := RawStress(delta, x)
+	next, diag := make([]Coord, len(x)), make([]float64, len(x))
+	prev := guttmanStep(delta, x, next, diag)
 	for iter := 0; iter < 50; iter++ {
-		x = guttman(delta, x)
-		cur := RawStress(delta, x)
+		x, next = next, x
+		cur := guttmanStep(delta, x, next, diag)
 		if cur > prev+1e-9 {
 			t.Fatalf("stress increased at iter %d: %v -> %v", iter, prev, cur)
 		}

@@ -18,7 +18,9 @@ type grid struct {
 	minY     float64
 	cols     int
 	rows     int
-	cells    map[int][]int // cell key -> state IDs
+	// Cell c holds states ids[start[c]:start[c+1]], in ascending order.
+	start []int32
+	ids   []int32
 }
 
 // targetPerCell tunes cell granularity: cells sized so an average cell
@@ -26,10 +28,8 @@ type grid struct {
 const targetPerCell = 4
 
 func buildGrid(states []State) *grid {
-	g := &grid{states: states, cells: make(map[int][]int)}
+	g := &grid{states: states, cellSize: 1, cols: 1, rows: 1}
 	if len(states) == 0 {
-		g.cellSize = 1
-		g.cols, g.rows = 1, 1
 		return g
 	}
 	minX, maxX := math.Inf(1), math.Inf(-1)
@@ -42,23 +42,30 @@ func buildGrid(states []State) *grid {
 	}
 	g.minX, g.minY = minX, minY
 	w, h := maxX-minX, maxY-minY
-	span := math.Max(w, h)
-	if span <= 0 {
-		// All states coincide: one cell is enough.
-		g.cellSize = 1
-		g.cols, g.rows = 1, 1
-		for i := range states {
-			g.cells[0] = append(g.cells[0], i)
-		}
-		return g
+	// All states coincide (or the extent is not a finite number): one cell
+	// is enough.
+	if span := math.Max(w, h); span > 0 && !math.IsInf(span, 1) {
+		nCells := math.Max(1, float64(len(states))/targetPerCell)
+		side := math.Sqrt(nCells)
+		g.cellSize = span / side
+		g.cols = int(w/g.cellSize) + 1
+		g.rows = int(h/g.cellSize) + 1
 	}
-	nCells := math.Max(1, float64(len(states))/targetPerCell)
-	side := math.Sqrt(nCells)
-	g.cellSize = span / side
-	g.cols = int(w/g.cellSize) + 1
-	g.rows = int(h/g.cellSize) + 1
-	for i, st := range states {
-		g.cells[g.key(st.Coord)] = append(g.cells[g.key(st.Coord)], i)
+	// Counting sort by cell; filling in state order keeps each cell's ids
+	// ascending.
+	g.start = make([]int32, g.cols*g.rows+1)
+	for i := range states {
+		g.start[g.key(states[i].Coord)+1]++
+	}
+	for c := 1; c < len(g.start); c++ {
+		g.start[c] += g.start[c-1]
+	}
+	g.ids = make([]int32, len(states))
+	fill := append([]int32(nil), g.start[:len(g.start)-1]...)
+	for i := range states {
+		c := g.key(states[i].Coord)
+		g.ids[fill[c]] = int32(i)
+		fill[c]++
 	}
 	return g
 }
@@ -95,66 +102,50 @@ func (g *grid) nearest(p mds.Coord, pred func(*State) bool) (dist float64, id in
 	cx, cy := g.cellOf(p)
 	best := math.Inf(1)
 	bestID := -1
+	visit := func(x, y int) {
+		if x < 0 || y < 0 || x >= g.cols || y >= g.rows {
+			return
+		}
+		c := y*g.cols + x
+		for _, i := range g.ids[g.start[c]:g.start[c+1]] {
+			st := &g.states[i]
+			if !pred(st) {
+				continue
+			}
+			if d := p.Dist(st.Coord); d < best {
+				best = d
+				bestID = int(i)
+			}
+		}
+	}
 	maxRing := g.cols
 	if g.rows > maxRing {
 		maxRing = g.rows
 	}
-	for ring := 0; ring <= maxRing; ring++ {
+	visit(cx, cy)
+	for ring := 1; ring <= maxRing; ring++ {
 		// Once a candidate is found, one extra ring guarantees correctness:
 		// a state in a farther ring is at least (ring−1)·cellSize away.
 		if bestID >= 0 && float64(ring-1)*g.cellSize > best {
 			break
 		}
-		g.visitRing(cx, cy, ring, func(ids []int) {
-			for _, i := range ids {
-				st := &g.states[i]
-				if !pred(st) {
-					continue
+		// The square ring of this radius, column by column: the two end
+		// columns in full, top and bottom cells of those between. Equal
+		// distances resolve to the first cell visited, so the order is part
+		// of the result.
+		for dx := -ring; dx <= ring; dx++ {
+			if dx == -ring || dx == ring {
+				for dy := -ring; dy <= ring; dy++ {
+					visit(cx+dx, cy+dy)
 				}
-				d := p.Dist(st.Coord)
-				if d < best {
-					best = d
-					bestID = i
-				}
+				continue
 			}
-		})
+			visit(cx+dx, cy-ring)
+			visit(cx+dx, cy+ring)
+		}
 	}
 	if bestID < 0 {
 		return 0, 0, false
 	}
 	return best, g.states[bestID].ID, true
-}
-
-// visitRing calls fn for every populated cell on the square ring of the
-// given radius around (cx, cy).
-func (g *grid) visitRing(cx, cy, ring int, fn func(ids []int)) {
-	if ring == 0 {
-		if ids, ok := g.cells[cy*g.cols+cx]; ok {
-			fn(ids)
-		}
-		return
-	}
-	for dx := -ring; dx <= ring; dx++ {
-		for _, dy := range ringDY(dx, ring) {
-			x, y := cx+dx, cy+dy
-			if x < 0 || y < 0 || x >= g.cols || y >= g.rows {
-				continue
-			}
-			if ids, ok := g.cells[y*g.cols+x]; ok {
-				fn(ids)
-			}
-		}
-	}
-}
-
-// ringDY returns the dy offsets forming the ring boundary for a given dx.
-func ringDY(dx, ring int) []int {
-	if dx == -ring || dx == ring {
-		out := make([]int, 0, 2*ring+1)
-		for dy := -ring; dy <= ring; dy++ {
-			out = append(out, dy)
-		}
-		return out
-	}
-	return []int{-ring, ring}
 }

@@ -103,13 +103,151 @@ func TestGridQueryFarOutsideBounds(t *testing.T) {
 	}
 }
 
-func TestRingDY(t *testing.T) {
-	// Edges of the ring enumerate all dy; interior columns only ±ring.
-	if got := ringDY(2, 2); len(got) != 5 {
-		t.Errorf("edge column dys = %v", got)
+// mapGrid is the grid the flat one replaced — cells in a map, a slice of
+// dy offsets per ring column — kept as the reference for visiting order:
+// equal distances resolve to the first cell visited, so the flat grid must
+// walk cells exactly as this one does to return the same ids.
+type mapGrid struct {
+	*grid
+	cells map[int][]int
+}
+
+func buildMapGrid(states []State) *mapGrid {
+	g := &mapGrid{grid: buildGrid(states), cells: make(map[int][]int)}
+	for i, st := range states {
+		g.cells[g.key(st.Coord)] = append(g.cells[g.key(st.Coord)], i)
 	}
-	if got := ringDY(0, 2); len(got) != 2 || got[0] != -2 || got[1] != 2 {
-		t.Errorf("interior column dys = %v", got)
+	return g
+}
+
+func (g *mapGrid) nearest(p mds.Coord, pred func(*State) bool) (float64, int, bool) {
+	if len(g.states) == 0 {
+		return 0, 0, false
+	}
+	cx, cy := g.cellOf(p)
+	best := math.Inf(1)
+	bestID := -1
+	maxRing := g.cols
+	if g.rows > maxRing {
+		maxRing = g.rows
+	}
+	for ring := 0; ring <= maxRing; ring++ {
+		if bestID >= 0 && float64(ring-1)*g.cellSize > best {
+			break
+		}
+		g.visitRing(cx, cy, ring, func(ids []int) {
+			for _, i := range ids {
+				st := &g.states[i]
+				if !pred(st) {
+					continue
+				}
+				d := p.Dist(st.Coord)
+				if d < best {
+					best = d
+					bestID = i
+				}
+			}
+		})
+	}
+	if bestID < 0 {
+		return 0, 0, false
+	}
+	return best, g.states[bestID].ID, true
+}
+
+func (g *mapGrid) visitRing(cx, cy, ring int, fn func(ids []int)) {
+	if ring == 0 {
+		if ids, ok := g.cells[cy*g.cols+cx]; ok {
+			fn(ids)
+		}
+		return
+	}
+	for dx := -ring; dx <= ring; dx++ {
+		for _, dy := range ringDY(dx, ring) {
+			x, y := cx+dx, cy+dy
+			if x < 0 || y < 0 || x >= g.cols || y >= g.rows {
+				continue
+			}
+			if ids, ok := g.cells[y*g.cols+x]; ok {
+				fn(ids)
+			}
+		}
+	}
+}
+
+func ringDY(dx, ring int) []int {
+	if dx == -ring || dx == ring {
+		out := make([]int, 0, 2*ring+1)
+		for dy := -ring; dy <= ring; dy++ {
+			out = append(out, dy)
+		}
+		return out
+	}
+	return []int{-ring, ring}
+}
+
+func TestFlatGridMatchesMapGridAndBruteForce(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	sets := map[string][]mds.Coord{
+		"single":     {{X: 3, Y: 4}},
+		"coincident": {{X: 1, Y: 1}, {X: 1, Y: 1}, {X: 1, Y: 1}},
+	}
+	for i := 0; i < 400; i++ {
+		sets["uniform"] = append(sets["uniform"], mds.Coord{X: rng.Float64() * 20, Y: rng.Float64() * 20})
+		cluster := float64(i % 3 * 8)
+		sets["clustered"] = append(sets["clustered"], mds.Coord{X: cluster + rng.NormFloat64()*0.3, Y: cluster + rng.NormFloat64()*2})
+		sets["horizontal"] = append(sets["horizontal"], mds.Coord{X: rng.Float64() * 50, Y: 7})
+		// An integer lattice visited twice: every state has a twin, and
+		// queries on lattice and half-lattice points are equidistant from
+		// two, four or eight states.
+		sets["lattice"] = append(sets["lattice"], mds.Coord{X: float64(i % 10), Y: float64(i / 10 % 20)})
+	}
+	preds := map[string]func(*State) bool{
+		"any":      func(*State) bool { return true },
+		"none":     func(*State) bool { return false },
+		"safe":     func(st *State) bool { return st.Label == Safe },
+		"verified": func(st *State) bool { return st.Label == Safe && !st.Unverified },
+		"sparse":   func(st *State) bool { return st.ID%17 == 0 },
+	}
+	for name, coords := range sets {
+		s := NewSpace()
+		for _, c := range coords {
+			id := s.Add(c, nil, 0)
+			switch rng.Intn(4) {
+			case 0:
+				_ = s.MarkViolation(id)
+			case 1:
+				_ = s.MarkUnverified(id)
+			}
+		}
+		flat, ref := buildGrid(s.states), buildMapGrid(s.states)
+		var queries []mds.Coord
+		for q := 0; q < 300; q++ {
+			queries = append(queries,
+				mds.Coord{X: rng.Float64()*60 - 5, Y: rng.Float64()*30 - 5},
+				mds.Coord{X: float64(rng.Intn(24)-2) / 2, Y: float64(rng.Intn(44)-2) / 2})
+		}
+		queries = append(queries, coords...)
+		for predName, pred := range preds {
+			for _, p := range queries {
+				d, id, ok := flat.nearest(p, pred)
+				rd, rid, rok := ref.nearest(p, pred)
+				if ok != rok || id != rid || math.Float64bits(d) != math.Float64bits(rd) {
+					t.Fatalf("%s/%s query %v: flat grid (%v, %d, %v), map grid (%v, %d, %v)",
+						name, predName, p, d, id, ok, rd, rid, rok)
+				}
+				bd, _, bok := bruteNearest(s.states, p, pred)
+				if ok != bok {
+					t.Fatalf("%s/%s query %v: ok %v, brute force %v", name, predName, p, ok, bok)
+				}
+				if !ok {
+					continue
+				}
+				if d != bd || !pred(&s.states[id]) || p.Dist(s.states[id].Coord) != d {
+					t.Fatalf("%s/%s query %v: (%v, %d), brute-force distance %v", name, predName, p, d, id, bd)
+				}
+			}
+		}
 	}
 }
 

@@ -115,6 +115,14 @@ func (s *Space) State(id int) (State, error) {
 	return st, nil
 }
 
+// At returns state id's position and representative vector without
+// copying (the vector is shared; callers must not mutate it). Like a
+// slice index, it panics when id is out of range.
+func (s *Space) At(id int) (mds.Coord, []float64) {
+	st := &s.states[id]
+	return st.Coord, st.Vector
+}
+
 // States returns a copy of all states.
 func (s *Space) States() []State {
 	out := make([]State, len(s.states))
