@@ -51,10 +51,10 @@ type Config struct {
 	// LandmarkThreshold switches full-embedding refreshes to landmark MDS
 	// (§4's cited fast approximation) once the state space exceeds this
 	// many states, using the threshold as the landmark count. From then on
-	// the landmark set is kept: new states are placed against it alone and
-	// a scheduled refresh re-solves only when a new state fell outside the
-	// set's covering radius. 0 always solves the full problem;
-	// DefaultConfig sets 128.
+	// the landmark set is kept: new states are placed against it alone, one
+	// that falls outside the set's covering radius joins it, and a
+	// scheduled refresh re-solves only once the set has doubled. 0 always
+	// solves the full problem; DefaultConfig sets 128.
 	LandmarkThreshold int
 
 	// Predictor, Trajectory and Throttle tune the subcomponents; zero

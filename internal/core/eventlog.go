@@ -4,8 +4,9 @@ import "sync"
 
 // eventLog retains per-period events in a bounded ring. Long daemon runs
 // previously accumulated one Event per period forever; the ring bounds
-// memory while sequence numbers let report paths drain incrementally
-// without missing (un-evicted) events.
+// memory — and an append stays O(1) once it is full — while sequence
+// numbers let report paths drain incrementally without missing
+// (un-evicted) events.
 //
 // The log is internally locked: append only ever happens from the
 // control-loop goroutine (Lane.Period), but several consumers — the
@@ -14,9 +15,12 @@ import "sync"
 // mutex covers exactly that read path; the Lane as a whole remains
 // single-threaded.
 type eventLog struct {
-	mu  sync.Mutex
-	buf []Event
-	max int
+	mu sync.Mutex
+	// buf grows by append up to max events and is a ring from then on:
+	// the oldest retained event sits at head, the newest just before it.
+	buf  []Event
+	head int
+	max  int
 	// next is the sequence number the next appended event will get; the
 	// oldest retained event has sequence next-len(buf).
 	next uint64
@@ -29,24 +33,41 @@ func newEventLog(max int) *eventLog {
 	return &eventLog{max: max}
 }
 
-// append records an event, evicting the oldest when full.
+// append records an event, overwriting the oldest when full.
 func (l *eventLog) append(ev Event) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.buf = append(l.buf, ev)
 	l.next++
-	if l.max > 0 && len(l.buf) > l.max {
-		// Shift rather than reslice so the evicted prefix is reclaimable.
-		n := copy(l.buf, l.buf[len(l.buf)-l.max:])
-		l.buf = l.buf[:n]
+	if l.max <= 0 || len(l.buf) < l.max {
+		l.buf = append(l.buf, ev)
+		return
 	}
+	l.buf[l.head] = ev
+	l.head = (l.head + 1) % l.max
+}
+
+// newest returns a copy of the n most recent retained events, oldest
+// first: the ring unwrapped. The caller holds mu and n <= len(buf).
+func (l *eventLog) newest(n int) []Event {
+	if n == 0 {
+		return nil
+	}
+	out := make([]Event, 0, n)
+	// In age order the ring reads buf[head:] then buf[:head].
+	if skip := len(l.buf) - n; skip < len(l.buf)-l.head {
+		out = append(out, l.buf[l.head+skip:]...)
+		out = append(out, l.buf[:l.head]...)
+	} else {
+		out = append(out, l.buf[l.head-n:l.head]...)
+	}
+	return out
 }
 
 // all returns a copy of every retained event.
 func (l *eventLog) all() []Event {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return append([]Event(nil), l.buf...)
+	return l.newest(len(l.buf))
 }
 
 // since returns a copy of all retained events with sequence >= seq, plus
@@ -63,8 +84,7 @@ func (l *eventLog) since(seq uint64) ([]Event, uint64) {
 	if seq >= l.next {
 		return nil, l.next
 	}
-	start := len(l.buf) - int(l.next-seq)
-	return append([]Event(nil), l.buf[start:]...), l.next
+	return l.newest(int(l.next - seq)), l.next
 }
 
 // len reports how many events are retained.

@@ -32,6 +32,54 @@ func TestEventLogRingEviction(t *testing.T) {
 	if all[0].Period != 6 || all[3].Period != 9 {
 		t.Fatalf("window = periods %d..%d, want 6..9", all[0].Period, all[3].Period)
 	}
+
+	// Several wraps, every head position: after each append the ring must
+	// read exactly like a slice that keeps its last max elements, from any
+	// cursor — and must not have grown past its window.
+	for _, max := range []int{1, 2, 5, 8} {
+		log := newEventLog(max)
+		var model []Event
+		for i := 0; i < 5*max+3; i++ {
+			log.append(Event{Period: i})
+			if model = append(model, Event{Period: i}); len(model) > max {
+				model = model[1:]
+			}
+			if got := log.all(); !sameEvents(got, model) || log.len() != len(model) || cap(log.buf) > 2*max {
+				t.Fatalf("max %d after %d appends: all() = %v (len %d, cap %d), want %v", max, i+1, periodsOf(got), log.len(), cap(log.buf), periodsOf(model))
+			}
+			for seq := uint64(0); seq <= uint64(i)+2; seq++ {
+				got, next := log.since(seq)
+				want := model
+				if first := uint64(model[0].Period); seq > first {
+					want = model[min(int(seq-first), len(model)):]
+				}
+				if !sameEvents(got, want) || next != uint64(i)+1 {
+					t.Fatalf("max %d after %d appends: since(%d) = %v next %d, want %v next %d",
+						max, i+1, seq, periodsOf(got), next, periodsOf(want), i+1)
+				}
+			}
+		}
+	}
+}
+
+func sameEvents(a, b []Event) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i].Period != b[i].Period {
+			return false
+		}
+	}
+	return true
+}
+
+func periodsOf(evs []Event) []int {
+	out := make([]int, len(evs))
+	for i, ev := range evs {
+		out[i] = ev.Period
+	}
+	return out
 }
 
 func TestEventLogSinceDrain(t *testing.T) {
@@ -65,6 +113,26 @@ func TestEventLogSinceDrain(t *testing.T) {
 	evs, seq = log.since(5)
 	if len(evs) != 4 || evs[0].Period != 8 || seq != 12 {
 		t.Fatalf("clamped drain: %d events starting %d, next %d", len(evs), evs[0].Period, seq)
+	}
+	// A reader that keeps up across many wraps of the ring — draining in
+	// bursts of one to three, so its cursor meets every head position —
+	// sees every event exactly once, in order.
+	want := 12
+	for i := 12; i < 60; {
+		for burst := i%3 + 1; burst > 0; burst-- {
+			log.append(Event{Period: i})
+			i++
+		}
+		evs, seq = log.since(seq)
+		for _, ev := range evs {
+			if ev.Period != want {
+				t.Fatalf("drain across wraps: got period %d, want %d", ev.Period, want)
+			}
+			want++
+		}
+		if int(seq) != i || want != i {
+			t.Fatalf("drain across wraps: cursor %d, drained through %d, appended %d", seq, want, i)
+		}
 	}
 }
 

@@ -100,9 +100,11 @@ type Report struct {
 	// Refreshes counts embeddings actually re-solved (SMACOF, or landmark
 	// MDS above Config.LandmarkThreshold); LastStress is the stress-1 of
 	// the most recent one. RefreshesSkipped counts scheduled refreshes
-	// the retained landmark basis made unnecessary.
+	// the retained landmark basis made unnecessary. Landmarks is that
+	// basis's size — solved plus promoted since — and 0 with no basis.
 	Refreshes        int
 	RefreshesSkipped int
+	Landmarks        int
 	LastStress       float64
 	// Accuracy, Precision and Recall score one-period-ahead violation
 	// prediction against reported outcomes.
@@ -115,9 +117,9 @@ type Report struct {
 func (r Report) String() string {
 	return fmt.Sprintf(
 		"periods=%d violations=%d predicted=%d pauses=%d limits=%d resumes=%d (random=%d)\n"+
-			"states=%d (violation=%d, unverified=%d) refreshes=%d (skipped=%d) stress=%.4f qos_stale=%d\n"+
+			"states=%d (violation=%d, unverified=%d) refreshes=%d (skipped=%d) landmarks=%d stress=%.4f qos_stale=%d\n"+
 			"prediction: accuracy=%.3f precision=%.3f recall=%.3f",
 		r.Periods, r.Violations, r.PredictedViolations, r.Pauses, r.Limits, r.Resumes, r.RandomResumes,
-		r.States, r.ViolationStates, r.UnverifiedStates, r.Refreshes, r.RefreshesSkipped, r.LastStress, r.QoSStalePeriods,
+		r.States, r.ViolationStates, r.UnverifiedStates, r.Refreshes, r.RefreshesSkipped, r.Landmarks, r.LastStress, r.QoSStalePeriods,
 		r.Accuracy, r.Precision, r.Recall)
 }

@@ -241,10 +241,11 @@ func (l *Lane) Report() Report {
 	rep := l.report
 	space := l.mapper.Space()
 	rep.States = space.Len()
-	rep.ViolationStates = len(space.ViolationIDs())
-	rep.UnverifiedStates = len(space.UnverifiedIDs())
+	rep.ViolationStates = space.ViolationCount()
+	rep.UnverifiedStates = space.UnverifiedCount()
 	rep.Refreshes = l.ms.refreshes
 	rep.RefreshesSkipped = l.ms.refreshesSkipped
+	rep.Landmarks = len(l.ms.landmarks)
 	rep.LastStress = l.ms.stress
 	tracker := l.fs.Tracker()
 	rep.Accuracy = tracker.Accuracy()

@@ -79,31 +79,36 @@ func (m *mapStage) MergeTemplate(t *statespace.Template, period int) (MergeStats
 			}
 			continue
 		}
-		id := m.space.Add(mds.Coord{X: in.X, Y: in.Y}, in.Vector, period)
-		if id != rep {
-			return out, fmt.Errorf("core: state/representative index skew during merge: %d vs %d", id, rep)
+		// While a landmark basis stands an adopted state is created like an
+		// organic one — placed against the basis, promoted if uncovered —
+		// so the basis survives the merge. Without one it arrives at the
+		// fleet's aligned coordinates.
+		if m.landmarks != nil {
+			if err := m.createState(rep, in.Vector, period); err != nil {
+				return out, err
+			}
+		} else {
+			if id := m.space.Add(mds.Coord{X: in.X, Y: in.Y}, in.Vector, period); id != rep {
+				return out, fmt.Errorf("core: state/representative index skew during merge: %d vs %d", id, rep)
+			}
+			m.createdSinceSMAC++
 		}
 		out.Added++
 		switch {
 		case in.Label == statespace.Violation.String():
-			if err := m.space.MarkViolation(id); err != nil {
+			if err := m.space.MarkViolation(rep); err != nil {
 				return out, err
 			}
 		case in.Unverified:
-			if err := m.space.MarkUnverified(id); err != nil {
+			if err := m.space.MarkUnverified(rep); err != nil {
 				return out, err
 			}
 		}
 	}
 
 	// A bulk adoption degrades incremental-placement quality the same way
-	// a burst of organic new states would; let the periodic SMACOF refresh
-	// fire on the same schedule. Adopted states arrive at the fleet's
-	// coordinates, not placed against the landmark basis, so the basis goes.
-	if out.Added > 0 {
-		m.dropBasis()
-	}
-	m.createdSinceSMAC += out.Added
+	// a burst of organic new states would; let the periodic refresh fire
+	// on the same schedule.
 	if m.cfg.RefreshEvery > 0 && m.createdSinceSMAC >= m.cfg.RefreshEvery && m.space.Len() >= 3 {
 		if err := m.refreshEmbedding(); err != nil {
 			return out, err

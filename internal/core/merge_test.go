@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/mds"
 	"repro/internal/metrics"
 	"repro/internal/statespace"
 )
@@ -60,6 +61,17 @@ func TestMergeTemplateAddsFleetStates(t *testing.T) {
 	}
 	if len(rt2.Space().ViolationIDs()) == 0 {
 		t.Fatal("merged violation state lost its label")
+	}
+	// With no landmark basis to place them against (the standing-basis case
+	// is TestReplacingOrGrowingTheMapDropsTheBasis), adopted states arrive
+	// at the fleet's coordinates.
+	if got := rt2.Report().Landmarks; got != 0 {
+		t.Fatalf("a %d-state map reports %d landmarks", rt2.Space().Len(), got)
+	}
+	for i, c := range rt2.Space().Coords() {
+		if want := (mds.Coord{X: tpl.States[i].X, Y: tpl.States[i].Y}); c != want {
+			t.Fatalf("adopted state %d sits at %v, the fleet had it at %v", i, c, want)
+		}
 	}
 
 	// Re-merging the same template is a no-op: everything matches.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/metrics"
@@ -385,5 +386,9 @@ func TestReportString(t *testing.T) {
 	var rep Report
 	if rep.String() == "" {
 		t.Error("report string empty")
+	}
+	rep.Refreshes, rep.RefreshesSkipped, rep.Landmarks = 3, 40, 171
+	if want := "refreshes=3 (skipped=40) landmarks=171 "; !strings.Contains(rep.String(), want) {
+		t.Errorf("report %q lacks %q", rep.String(), want)
 	}
 }

@@ -35,18 +35,17 @@ type mapStage struct {
 	stress    float64
 
 	// The persistent landmark basis: the landmark set of the last landmark
-	// solve and the radius within which it covers the states that solve
-	// saw. The landmark configuration itself is not kept — it is the
-	// landmarks' coordinates in the space. While the basis stands, a new
-	// state is placed against the landmarks only and a scheduled refresh
-	// has nothing to re-solve unless uncovered is set: a state arrived
-	// farther than coverRadius from every landmark, one the farthest-point
-	// selection would have made a landmark. nil below
-	// Config.LandmarkThreshold and after the map was replaced or merged
-	// into.
+	// solve, grown online, and the radius within which that solve's set
+	// covered the states it saw. The landmark configuration itself is not
+	// kept — it is the landmarks' coordinates in the space. While the basis
+	// stands, a new state is placed against the landmarks only, and one
+	// that arrives farther than coverRadius from every landmark — the point
+	// farthest-point selection would have picked next — joins them, so
+	// every state stays within coverRadius of a landmark without a solve.
+	// A scheduled refresh re-solves only once the set has doubled. nil
+	// below Config.LandmarkThreshold and after the map was replaced.
 	landmarks        []int
 	coverRadius      float64
-	uncovered        bool
 	refreshesSkipped int
 }
 
@@ -168,13 +167,25 @@ func (m *mapStage) mapVector(period int, vec []float64) (stateID int, created bo
 		return rep, false, nil
 	}
 
-	pos, err := m.place(vec)
-	if err != nil {
-		return 0, false, fmt.Errorf("core: incremental placement: %w", err)
+	if err := m.createState(rep, vec, period); err != nil {
+		return 0, false, err
 	}
-	id := m.space.Add(pos, vec, period)
-	if id != rep {
-		return 0, false, fmt.Errorf("core: state/representative index skew: %d vs %d", id, rep)
+	return rep, true, nil
+}
+
+// createState gives the reducer's newest representative its state: placed
+// in the current layout, promoted to landmark when the basis does not
+// cover it, and counted toward the scheduled refresh.
+func (m *mapStage) createState(rep int, vec []float64, period int) error {
+	pos, uncovered, err := m.place(vec)
+	if err != nil {
+		return fmt.Errorf("core: incremental placement: %w", err)
+	}
+	if id := m.space.Add(pos, vec, period); id != rep {
+		return fmt.Errorf("core: state/representative index skew: %d vs %d", id, rep)
+	}
+	if uncovered {
+		m.landmarks = append(m.landmarks, rep)
 	}
 	m.createdSinceSMAC++
 
@@ -187,26 +198,27 @@ func (m *mapStage) mapVector(period int, vec []float64) (stateID int, created bo
 		(m.refreshes == 0 && m.space.Len() >= 4)
 	if m.cfg.RefreshEvery > 0 && needRefresh && m.space.Len() >= 3 {
 		if err := m.refreshEmbedding(); err != nil {
-			return 0, false, err
+			return err
 		}
 		m.createdSinceSMAC = 0
 	}
-	return id, true, nil
+	return nil
 }
 
 // place positions a new state's vector in the current layout by
 // incremental placement (§4's low-overhead path): against every state, or
 // against the landmarks alone while a landmark basis stands — the same
 // triangulation the landmark solve itself gave every non-landmark.
-func (m *mapStage) place(vec []float64) (mds.Coord, error) {
+// uncovered reports a vector farther than coverRadius from every landmark.
+func (m *mapStage) place(vec []float64) (pos mds.Coord, uncovered bool, err error) {
 	if m.landmarks == nil {
 		coords := m.space.Coords()
 		delta := make([]float64, len(coords))
 		for i, v := range m.space.Vectors() {
 			delta[i] = mds.Euclidean(vec, v)
 		}
-		pos, _, err := mds.Place(coords, delta, mds.PlaceOptions{})
-		return pos, err
+		pos, _, err = mds.Place(coords, delta, mds.PlaceOptions{})
+		return pos, false, err
 	}
 	// Stack scratch up to 256 landmarks; append moves to the heap past it.
 	var coordBuf [256]mds.Coord
@@ -219,22 +231,21 @@ func (m *mapStage) place(vec []float64) (mds.Coord, error) {
 		coords, delta = append(coords, c), append(delta, d)
 		nearest = math.Min(nearest, d)
 	}
-	if nearest > m.coverRadius {
-		m.uncovered = true
-	}
-	pos, _, err := mds.Place(coords, delta, mds.PlaceOptions{})
-	return pos, err
+	pos, _, err = mds.Place(coords, delta, mds.PlaceOptions{})
+	return pos, nearest > m.coverRadius, err
 }
 
 // refreshEmbedding re-solves the full MDS problem and keeps the layout
-// aligned with the previous one — unless a landmark basis stands and
-// still covers every state, in which case there is nothing to re-solve:
-// representative vectors never move, so the landmark subproblem is the one
-// already solved, every later state already sits where that solution puts
-// it, and a fresh solve would only redraw the landmark set and shuffle
-// every coordinate.
+// aligned with the previous one — unless a landmark basis stands, which
+// covers every state by construction: representative vectors never move,
+// so every state already sits where triangulation against its landmarks
+// puts it, and a fresh solve would only redraw the landmark set and
+// shuffle every coordinate. The promoted landmarks, though, were placed,
+// not solved for; once they are as many as the solved ones the basis is
+// re-solved, so a solve is paid for by at least LandmarkThreshold
+// promotions and a poor first basis lasts one doubling.
 func (m *mapStage) refreshEmbedding() error {
-	if m.landmarks != nil && !m.uncovered {
+	if m.landmarks != nil && len(m.landmarks) < 2*m.cfg.LandmarkThreshold {
 		m.refreshesSkipped++
 		return nil
 	}
@@ -257,7 +268,7 @@ func (m *mapStage) refreshEmbedding() error {
 			return fmt.Errorf("core: landmark refresh: %w", err)
 		}
 		config, stress = res.Config, res.Stress
-		m.landmarks, m.coverRadius, m.uncovered = res.Landmarks, res.CoverRadius, false
+		m.landmarks, m.coverRadius = res.Landmarks, res.CoverRadius
 	} else {
 		delta, err := mds.DistanceMatrix(vectors)
 		if err != nil {
@@ -279,13 +290,6 @@ func (m *mapStage) refreshEmbedding() error {
 	m.refreshes++
 	m.stress = stress
 	return nil
-}
-
-// dropBasis forgets the landmark basis: the map holds states that were not
-// placed against it (an imported or restored map, states a merge adopted),
-// so the next scheduled refresh solves afresh.
-func (m *mapStage) dropBasis() {
-	m.landmarks, m.coverRadius, m.uncovered = nil, 0, false
 }
 
 // importSpace adopts an externally built space (template import /
@@ -312,6 +316,8 @@ func (m *mapStage) importSpace(space *statespace.Space, ranges map[metrics.Metri
 	space.SetRangePolicy(m.cfg.RangePolicy)
 	m.space = space
 	m.reducer = reducer
-	m.dropBasis()
+	// The basis belonged to the map this one replaces; the next scheduled
+	// refresh solves afresh.
+	m.landmarks, m.coverRadius = nil, 0
 	return nil
 }

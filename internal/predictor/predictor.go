@@ -103,15 +103,11 @@ func (p *Predictor) Predict(space *statespace.Space, mode trajectory.Mode, cur m
 		return d, err
 	}
 	d.Candidates = candidates
-	discs := space.ViolationRanges()
 	for _, c := range candidates {
-		for _, disc := range discs {
-			if disc.Contains(c) {
-				d.Hits++
-				if d.Hits == 1 {
-					d.Disc = disc
-				}
-				break
+		if disc, in := space.InViolationRange(c); in {
+			d.Hits++
+			if d.Hits == 1 {
+				d.Disc = disc
 			}
 		}
 	}

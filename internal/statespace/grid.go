@@ -8,11 +8,13 @@ import (
 
 // grid is a uniform spatial hash over state positions for nearest-neighbour
 // queries. State counts stay modest (representative reduction keeps only
-// distinct states), but nearest-safe-state queries run for every
-// violation-state every period, so an index keeps the controller's
-// per-period cost low (the paper's ~2% CPU overhead budget).
+// distinct states), but a relabelled safe-state re-queries every
+// violation-range anchored on it, so an index keeps the controller's
+// per-period cost low (the paper's ~2% CPU overhead budget). It indexes
+// the first n states — those that existed when it was built — and outlives
+// later Adds: nearest scans the states past n, the tail, one by one.
 type grid struct {
-	states   []State
+	n        int
 	cellSize float64
 	minX     float64
 	minY     float64
@@ -28,20 +30,14 @@ type grid struct {
 const targetPerCell = 4
 
 func buildGrid(states []State) *grid {
-	g := &grid{states: states, cellSize: 1, cols: 1, rows: 1}
+	g := &grid{n: len(states), cellSize: 1, cols: 1, rows: 1}
 	if len(states) == 0 {
+		g.start = make([]int32, 2) // one empty cell
 		return g
 	}
-	minX, maxX := math.Inf(1), math.Inf(-1)
-	minY, maxY := math.Inf(1), math.Inf(-1)
-	for _, st := range states {
-		minX = math.Min(minX, st.Coord.X)
-		maxX = math.Max(maxX, st.Coord.X)
-		minY = math.Min(minY, st.Coord.Y)
-		maxY = math.Max(maxY, st.Coord.Y)
-	}
-	g.minX, g.minY = minX, minY
-	w, h := maxX-minX, maxY-minY
+	b := boundsOf(states)
+	g.minX, g.minY = b.minX, b.minY
+	w, h := b.maxX-b.minX, b.maxY-b.minY
 	// All states coincide (or the extent is not a finite number): one cell
 	// is enough.
 	if span := math.Max(w, h); span > 0 && !math.IsInf(span, 1) {
@@ -93,37 +89,40 @@ func (g *grid) key(p mds.Coord) int {
 	return cy*g.cols + cx
 }
 
-// nearest finds the closest state satisfying pred using an expanding-ring
-// search over grid cells. It returns ok=false when no state matches.
-func (g *grid) nearest(p mds.Coord, pred func(*State) bool) (dist float64, id int, ok bool) {
-	if len(g.states) == 0 {
-		return 0, 0, false
-	}
-	cx, cy := g.cellOf(p)
+// nearest finds the closest of states satisfying pred — the tail first,
+// then an expanding-ring search over the cells of the indexed prefix. It
+// returns ok=false when no state matches.
+func (g *grid) nearest(states []State, p mds.Coord, pred func(*State) bool) (dist float64, id int, ok bool) {
 	best := math.Inf(1)
 	bestID := -1
+	consider := func(i int) {
+		st := &states[i]
+		if !pred(st) {
+			return
+		}
+		if d := p.Dist(st.Coord); d < best {
+			best = d
+			bestID = i
+		}
+	}
+	for i := g.n; i < len(states); i++ {
+		consider(i)
+	}
+	cx, cy := g.cellOf(p)
 	visit := func(x, y int) {
 		if x < 0 || y < 0 || x >= g.cols || y >= g.rows {
 			return
 		}
 		c := y*g.cols + x
 		for _, i := range g.ids[g.start[c]:g.start[c+1]] {
-			st := &g.states[i]
-			if !pred(st) {
-				continue
-			}
-			if d := p.Dist(st.Coord); d < best {
-				best = d
-				bestID = int(i)
-			}
+			consider(int(i))
 		}
 	}
 	maxRing := g.cols
 	if g.rows > maxRing {
 		maxRing = g.rows
 	}
-	visit(cx, cy)
-	for ring := 1; ring <= maxRing; ring++ {
+	for ring := 0; ring <= maxRing; ring++ {
 		// Once a candidate is found, one extra ring guarantees correctness:
 		// a state in a farther ring is at least (ring−1)·cellSize away.
 		if bestID >= 0 && float64(ring-1)*g.cellSize > best {
@@ -131,8 +130,8 @@ func (g *grid) nearest(p mds.Coord, pred func(*State) bool) (dist float64, id in
 		}
 		// The square ring of this radius, column by column: the two end
 		// columns in full, top and bottom cells of those between. Equal
-		// distances resolve to the first cell visited, so the order is part
-		// of the result.
+		// distances resolve to the first state considered, so the order is
+		// part of the result.
 		for dx := -ring; dx <= ring; dx++ {
 			if dx == -ring || dx == ring {
 				for dy := -ring; dy <= ring; dy++ {
@@ -147,5 +146,5 @@ func (g *grid) nearest(p mds.Coord, pred func(*State) bool) (dist float64, id in
 	if bestID < 0 {
 		return 0, 0, false
 	}
-	return best, g.states[bestID].ID, true
+	return best, states[bestID].ID, true
 }

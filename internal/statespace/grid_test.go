@@ -29,31 +29,73 @@ func bruteNearest(states []State, p mds.Coord, pred func(*State) bool) (float64,
 }
 
 func TestGridMatchesBruteForce(t *testing.T) {
+	// Queries interleaved with Adds: the grid built by the first query has
+	// to answer for the states added since (its tail, some of them outside
+	// the box it was built over), across the rebuild that a tail grown past
+	// √n triggers and the one a SetCoords forces. Distances must match
+	// brute force to the bit; between equidistant states the id is free.
 	rng := rand.New(rand.NewSource(13))
 	s := NewSpace()
-	for i := 0; i < 300; i++ {
-		id := s.Add(mds.Coord{X: rng.Float64() * 20, Y: rng.Float64() * 20}, nil, 0)
-		if rng.Float64() < 0.3 {
+	verified := func(st *State) bool { return st.Label == Safe && !st.Unverified }
+	builds, tailed := 0, 0
+	var built *grid
+	for i := 0; i < 400; i++ {
+		span := 20.0
+		if i%7 == 0 {
+			span = 40 // outside every box built so far, now and then
+		}
+		id := s.Add(mds.Coord{X: rng.Float64()*span - span/4, Y: rng.Float64()*span - span/4}, nil, 0)
+		switch {
+		case rng.Float64() < 0.3:
 			if err := s.MarkViolation(id); err != nil {
 				t.Fatal(err)
 			}
+		case rng.Float64() < 0.1:
+			if err := s.MarkUnverified(id); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if i == 250 {
+			moved := s.Coords()
+			for j := range moved {
+				moved[j].X += 3
+			}
+			if err := s.SetCoords(moved); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if i%3 == 0 {
+			continue // let the tail grow between queries
+		}
+		for q := 0; q < 4; q++ {
+			p := mds.Coord{X: rng.Float64()*60 - 20, Y: rng.Float64()*60 - 20}
+			if q == 0 {
+				p = s.states[rng.Intn(len(s.states))].Coord
+			}
+			gd, gid, gok := s.NearestSafe(p)
+			bd, _, bok := bruteNearest(s.states, p, verified)
+			if gok != bok {
+				t.Fatalf("%d states, query %v: ok %v vs brute %v", len(s.states), p, gok, bok)
+			}
+			if gok && (math.Float64bits(gd) != math.Float64bits(bd) || !verified(&s.states[gid]) || p.Dist(s.states[gid].Coord) != gd) {
+				t.Fatalf("%d states, query %v: (%v, %d), brute-force distance %v", len(s.states), p, gd, gid, bd)
+			}
+			ad, _, _ := s.NearestAny(p)
+			if bd, _, _ := bruteNearest(s.states, p, func(*State) bool { return true }); math.Float64bits(ad) != math.Float64bits(bd) {
+				t.Fatalf("%d states, query %v: nearest of any label %v, brute force %v", len(s.states), p, ad, bd)
+			}
+		}
+		if s.grid != built {
+			built, builds = s.grid, builds+1
+		}
+		if s.grid.n < len(s.states) {
+			tailed++
 		}
 	}
-	states := s.States()
-	safePred := func(st *State) bool { return st.Label == Safe }
-	for q := 0; q < 200; q++ {
-		p := mds.Coord{X: rng.Float64()*30 - 5, Y: rng.Float64()*30 - 5}
-		gd, gid, gok := s.NearestSafe(p)
-		bd, bid, bok := bruteNearest(states, p, safePred)
-		if gok != bok {
-			t.Fatalf("query %v: ok %v vs brute %v", p, gok, bok)
-		}
-		if !gok {
-			continue
-		}
-		if math.Abs(gd-bd) > 1e-9 {
-			t.Fatalf("query %v: dist %v (id %d) vs brute %v (id %d)", p, gd, gid, bd, bid)
-		}
+	// √n amortisation: 400 Adds must not have cost anything near 400 builds,
+	// and most queries must have been answered with a tail standing.
+	if builds < 3 || builds > 60 || tailed < 100 {
+		t.Fatalf("%d grid builds, %d query rounds over a tail: the surviving grid was not exercised", builds, tailed)
 	}
 }
 
@@ -109,11 +151,12 @@ func TestGridQueryFarOutsideBounds(t *testing.T) {
 // walk cells exactly as this one does to return the same ids.
 type mapGrid struct {
 	*grid
-	cells map[int][]int
+	states []State
+	cells  map[int][]int
 }
 
 func buildMapGrid(states []State) *mapGrid {
-	g := &mapGrid{grid: buildGrid(states), cells: make(map[int][]int)}
+	g := &mapGrid{grid: buildGrid(states), states: states, cells: make(map[int][]int)}
 	for i, st := range states {
 		g.cells[g.key(st.Coord)] = append(g.cells[g.key(st.Coord)], i)
 	}
@@ -230,7 +273,7 @@ func TestFlatGridMatchesMapGridAndBruteForce(t *testing.T) {
 		queries = append(queries, coords...)
 		for predName, pred := range preds {
 			for _, p := range queries {
-				d, id, ok := flat.nearest(p, pred)
+				d, id, ok := flat.nearest(s.states, p, pred)
 				rd, rid, rok := ref.nearest(p, pred)
 				if ok != rok || id != rid || math.Float64bits(d) != math.Float64bits(rd) {
 					t.Fatalf("%s/%s query %v: flat grid (%v, %d, %v), map grid (%v, %d, %v)",

@@ -74,8 +74,16 @@ type Disc struct {
 }
 
 // Contains reports whether p falls inside the disc (boundary inclusive).
-func (d Disc) Contains(p mds.Coord) bool {
-	return d.Center.Dist(p) <= d.Radius
+func (d Disc) Contains(p mds.Coord) bool { return within(d.Center, p, d.Radius) }
+
+// within reports whether q lies no farther than r from p. A point farther
+// than r along one axis is rejected before the Hypot — exactly, because
+// math.Hypot(dx, dy) ≥ max(|dx|, |dy|).
+func within(p, q mds.Coord, r float64) bool {
+	if math.Abs(p.X-q.X) > r || math.Abs(p.Y-q.Y) > r {
+		return false
+	}
+	return p.Dist(q) <= r
 }
 
 // RangePolicy computes a violation-range radius from the distance d to
@@ -85,19 +93,59 @@ func (d Disc) Contains(p mds.Coord) bool {
 type RangePolicy func(d, c float64) float64
 
 // Space is the collection of mapped states. The zero value is an empty,
-// usable space with the default Rayleigh range policy.
+// usable space with the default Rayleigh range policy. Like the Lane that
+// owns it, a Space is not safe for concurrent use: its queries fill caches.
 type Space struct {
 	states []State
-	grid   *grid
-	// violations caches the IDs of violation-states.
-	violations []int
+	// grid indexes the states it was built over; states added since are
+	// its tail. nil until the first query and after a coordinate moved.
+	grid *grid
+	// ranges holds one entry per violation-state, in labelling order.
+	ranges []vrange
+	// unverified counts the states whose Unverified flag is set.
+	unverified int
 	// rangePolicy overrides the Rayleigh weighting when non-nil.
 	rangePolicy RangePolicy
+
+	// What a period would otherwise recompute. Each is filled by the first
+	// query that needs it and from then on kept current by the mutators
+	// (DESIGN §5 has the table): the bounding box of every coordinate;
+	// every range's dist and anchor; every range's radius, derived under
+	// the coordinate-range median c. radiiOK implies the other two.
+	box                    bounds
+	c                      float64
+	boxOK, nearOK, radiiOK bool
+}
+
+// vrange is what the space keeps per violation-state so that a period need
+// not recompute its disc: the distance to the nearest verified safe-state
+// and the state that gave it (anchor −1: there is none), and the radius
+// derived from that distance. The centre is the state's own coordinate.
+type vrange struct {
+	dist, radius float64
+	id, anchor   int32
+}
+
+// bounds is an axis-aligned bounding box.
+type bounds struct{ minX, maxX, minY, maxY float64 }
+
+// with returns b extended to hold p.
+func (b bounds) with(p mds.Coord) bounds {
+	return bounds{math.Min(b.minX, p.X), math.Max(b.maxX, p.X), math.Min(b.minY, p.Y), math.Max(b.maxY, p.Y)}
+}
+
+// boundsOf returns the bounding box of every state's coordinate.
+func boundsOf(states []State) bounds {
+	b := bounds{math.Inf(1), math.Inf(-1), math.Inf(1), math.Inf(-1)}
+	for i := range states {
+		b = b.with(states[i].Coord)
+	}
+	return b
 }
 
 // SetRangePolicy overrides how violation-range radii are derived. Passing
 // nil restores the paper's Rayleigh weighting.
-func (s *Space) SetRangePolicy(p RangePolicy) { s.rangePolicy = p }
+func (s *Space) SetRangePolicy(p RangePolicy) { s.rangePolicy, s.radiiOK = p, false }
 
 // NewSpace returns an empty state space.
 func NewSpace() *Space { return &Space{} }
@@ -133,7 +181,8 @@ func (s *Space) States() []State {
 	return out
 }
 
-// Add inserts a new state and returns its ID. The vector is copied.
+// Add inserts a new state — safe and verified — and returns its ID. The
+// vector is copied. The spatial index survives: the state joins its tail.
 func (s *Space) Add(coord mds.Coord, vector []float64, period int) int {
 	id := len(s.states)
 	s.states = append(s.states, State{
@@ -145,7 +194,12 @@ func (s *Space) Add(coord mds.Coord, vector []float64, period int) int {
 		LastPeriod:  period,
 		Vector:      append([]float64(nil), vector...),
 	})
-	s.grid = nil
+	if s.boxOK {
+		if b := s.box.with(coord); b != s.box {
+			s.box, s.radiiOK = b, false // c moved with the box
+		}
+	}
+	s.tighten(id)
 	return id
 }
 
@@ -164,11 +218,19 @@ func (s *Space) MarkViolation(id int) error {
 	if id < 0 || id >= len(s.states) {
 		return fmt.Errorf("statespace: state %d out of range", id)
 	}
-	if s.states[id].Label != Violation {
-		s.states[id].Label = Violation
-		s.violations = append(s.violations, id)
+	st := &s.states[id]
+	if st.Label == Violation {
+		return nil
 	}
-	s.states[id].Unverified = false
+	st.Label = Violation
+	if st.Unverified {
+		st.Unverified = false
+		s.unverified--
+	}
+	// The new range starts out anchored on its own state, so reanchor
+	// locates it along with every range the state anchored while safe.
+	s.ranges = append(s.ranges, vrange{id: int32(id), anchor: int32(id)})
+	s.reanchor(id)
 	return nil
 }
 
@@ -179,8 +241,10 @@ func (s *Space) MarkUnverified(id int) error {
 	if id < 0 || id >= len(s.states) {
 		return fmt.Errorf("statespace: state %d out of range", id)
 	}
-	if s.states[id].Label == Safe {
-		s.states[id].Unverified = true
+	if st := &s.states[id]; st.Label == Safe && !st.Unverified {
+		st.Unverified = true
+		s.unverified++
+		s.reanchor(id)
 	}
 	return nil
 }
@@ -191,20 +255,16 @@ func (s *Space) ClearUnverified(id int) error {
 	if id < 0 || id >= len(s.states) {
 		return fmt.Errorf("statespace: state %d out of range", id)
 	}
-	s.states[id].Unverified = false
+	if st := &s.states[id]; st.Unverified {
+		st.Unverified = false
+		s.unverified--
+		s.tighten(id)
+	}
 	return nil
 }
 
-// UnverifiedIDs returns the IDs of all unverified states, in ID order.
-func (s *Space) UnverifiedIDs() []int {
-	var out []int
-	for _, st := range s.states {
-		if st.Unverified {
-			out = append(out, st.ID)
-		}
-	}
-	return out
-}
+// UnverifiedCount returns the number of unverified states.
+func (s *Space) UnverifiedCount() int { return s.unverified }
 
 // SetCoord moves one state (used by incremental placement refinement).
 func (s *Space) SetCoord(id int, c mds.Coord) error {
@@ -212,7 +272,7 @@ func (s *Space) SetCoord(id int, c mds.Coord) error {
 		return fmt.Errorf("statespace: state %d out of range", id)
 	}
 	s.states[id].Coord = c
-	s.grid = nil
+	s.moved()
 	return nil
 }
 
@@ -225,8 +285,14 @@ func (s *Space) SetCoords(coords []mds.Coord) error {
 	for i := range s.states {
 		s.states[i].Coord = coords[i]
 	}
-	s.grid = nil
+	s.moved()
 	return nil
+}
+
+// moved drops everything derived from coordinates.
+func (s *Space) moved() {
+	s.grid = nil
+	s.boxOK, s.nearOK, s.radiiOK = false, false, false
 }
 
 // Coords returns all state positions in ID order.
@@ -250,29 +316,31 @@ func (s *Space) Vectors() [][]float64 {
 
 // ViolationIDs returns the IDs of all violation-states.
 func (s *Space) ViolationIDs() []int {
-	return append([]int(nil), s.violations...)
+	out := make([]int, len(s.ranges))
+	for i, r := range s.ranges {
+		out[i] = int(r.id)
+	}
+	return out
 }
 
+// ViolationCount returns the number of violation-states.
+func (s *Space) ViolationCount() int { return len(s.ranges) }
+
 // HasViolations reports whether any violation-state exists yet.
-func (s *Space) HasViolations() bool { return len(s.violations) > 0 }
+func (s *Space) HasViolations() bool { return len(s.ranges) > 0 }
 
 // CoordinateRangeMedian returns c, "the median of the coordinate range of
 // the mapped space" (§3.2.2): the median of the per-dimension extents of
 // the current embedding. It returns 0 for spaces with fewer than two
 // states (no meaningful extent exists yet).
 func (s *Space) CoordinateRangeMedian() float64 {
+	if !s.boxOK {
+		s.box, s.boxOK = boundsOf(s.states), true
+	}
 	if len(s.states) < 2 {
 		return 0
 	}
-	minX, maxX := math.Inf(1), math.Inf(-1)
-	minY, maxY := math.Inf(1), math.Inf(-1)
-	for _, st := range s.states {
-		minX = math.Min(minX, st.Coord.X)
-		maxX = math.Max(maxX, st.Coord.X)
-		minY = math.Min(minY, st.Coord.Y)
-		maxY = math.Max(maxY, st.Coord.Y)
-	}
-	m, err := stats.Median([]float64{maxX - minX, maxY - minY})
+	m, err := stats.Median([]float64{s.box.maxX - s.box.minX, s.box.maxY - s.box.minY})
 	if err != nil {
 		return 0
 	}
@@ -283,60 +351,134 @@ func (s *Space) CoordinateRangeMedian() float64 {
 // safe-state and that state's ID. ok is false when no such state exists.
 // Unverified states (created under a stale QoS signal) are skipped: an
 // unproven "safe" state must not shrink the violation-ranges around it.
+// Among equidistant states which ID is returned is unspecified.
 func (s *Space) NearestSafe(p mds.Coord) (dist float64, id int, ok bool) {
 	s.ensureGrid()
-	return s.grid.nearest(p, func(st *State) bool { return st.Label == Safe && !st.Unverified })
+	return s.grid.nearest(s.states, p, func(st *State) bool { return st.Label == Safe && !st.Unverified })
 }
 
 // NearestAny returns the distance from p to the nearest state of any label.
 func (s *Space) NearestAny(p mds.Coord) (dist float64, id int, ok bool) {
 	s.ensureGrid()
-	return s.grid.nearest(p, func(*State) bool { return true })
+	return s.grid.nearest(s.states, p, func(*State) bool { return true })
 }
 
-// ViolationRanges computes the current violation-range disc for every
+// ViolationRanges returns the current violation-range disc of every
 // violation-state: radius R = d·exp(−d²/(2c²)) with d the distance to the
 // nearest safe-state and c the coordinate-range median (§3.2.2). When no
 // safe-state exists yet, d falls back to c (maximal uncertainty); when the
 // space has no extent at all, the radius is 0.
 func (s *Space) ViolationRanges() []Disc {
-	if len(s.violations) == 0 {
+	if len(s.ranges) == 0 {
 		return nil
 	}
-	c := s.CoordinateRangeMedian()
-	policy := s.rangePolicy
-	if policy == nil {
-		policy = stats.RayleighWeight
-	}
-	out := make([]Disc, 0, len(s.violations))
-	for _, id := range s.violations {
-		v := s.states[id]
-		d, _, ok := s.NearestSafe(v.Coord)
-		if !ok {
-			d = c
-		}
-		out = append(out, Disc{
-			Center:  v.Coord,
-			Radius:  policy(d, c),
-			StateID: id,
-		})
+	s.refreshRanges()
+	out := make([]Disc, len(s.ranges))
+	for i := range s.ranges {
+		out[i] = s.disc(&s.ranges[i])
 	}
 	return out
 }
 
 // InViolationRange reports whether p falls inside any violation-range, and
-// if so returns the owning disc.
+// if so returns the disc of the first violation-state, in labelling order,
+// whose range holds it.
 func (s *Space) InViolationRange(p mds.Coord) (Disc, bool) {
-	for _, d := range s.ViolationRanges() {
-		if d.Contains(p) {
-			return d, true
+	s.refreshRanges()
+	for i := range s.ranges {
+		if r := &s.ranges[i]; within(s.states[r.id].Coord, p, r.radius) {
+			return s.disc(r), true
 		}
 	}
 	return Disc{}, false
 }
 
-func (s *Space) ensureGrid() {
-	if s.grid == nil {
-		s.grid = buildGrid(s.states)
+func (s *Space) disc(r *vrange) Disc {
+	return Disc{Center: s.states[r.id].Coord, Radius: r.radius, StateID: int(r.id)}
+}
+
+// refreshRanges fills whatever part of the range cache is not current:
+// everything after a coordinate moved, the radii alone after c or the
+// policy changed, nothing on the common period.
+func (s *Space) refreshRanges() {
+	if !s.nearOK {
+		s.nearOK = true
+		for i := range s.ranges {
+			s.locate(&s.ranges[i])
+		}
 	}
+	if !s.radiiOK {
+		s.c, s.radiiOK = s.CoordinateRangeMedian(), true
+		for i := range s.ranges {
+			s.derive(&s.ranges[i])
+		}
+	}
+}
+
+// tighten is called when state id has become a verified safe-state: it is
+// the new anchor of every range it is nearer to than the one before.
+func (s *Space) tighten(id int) {
+	if !s.nearOK {
+		return
+	}
+	p := s.states[id].Coord
+	for i := range s.ranges {
+		r := &s.ranges[i]
+		if d := s.states[r.id].Coord.Dist(p); d < r.dist {
+			r.dist, r.anchor = d, int32(id)
+			s.derive(r)
+		}
+	}
+}
+
+// reanchor is called when state id has stopped being a verified
+// safe-state: every range anchored on it is located afresh.
+func (s *Space) reanchor(id int) {
+	if !s.nearOK {
+		return
+	}
+	for i := range s.ranges {
+		if r := &s.ranges[i]; int(r.anchor) == id {
+			s.locate(r)
+		}
+	}
+}
+
+// locate queries r's nearest verified safe-state.
+func (s *Space) locate(r *vrange) {
+	d, anchor, ok := s.NearestSafe(s.states[r.id].Coord)
+	if !ok {
+		d, anchor = math.Inf(1), -1
+	}
+	r.dist, r.anchor = d, int32(anchor)
+	s.derive(r)
+}
+
+// derive recomputes r's radius from its distance, unless every radius is
+// due to be re-derived anyway.
+func (s *Space) derive(r *vrange) {
+	if !s.radiiOK {
+		return
+	}
+	d := r.dist
+	if r.anchor < 0 {
+		d = s.c
+	}
+	policy := s.rangePolicy
+	if policy == nil {
+		policy = stats.RayleighWeight
+	}
+	r.radius = policy(d, s.c)
+}
+
+// ensureGrid builds the index when there is none, and rebuilds it once the
+// tail of states added since has outgrown √n — so a query scans O(√n)
+// unindexed states at worst and an Add costs O(√n) of rebuild, amortised.
+func (s *Space) ensureGrid() {
+	if s.grid != nil {
+		if tail := len(s.states) - s.grid.n; tail*tail <= len(s.states) {
+			return
+		}
+	}
+	s.grid = buildGrid(s.states)
 }

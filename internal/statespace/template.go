@@ -230,7 +230,11 @@ func Import(t *Template) (*Space, error) {
 		s.states[id].Weight = ts.Weight
 		switch ts.Label {
 		case Safe.String():
-			s.states[id].Unverified = ts.Unverified
+			if ts.Unverified {
+				if err := s.MarkUnverified(id); err != nil {
+					return nil, err
+				}
+			}
 		case Violation.String():
 			if err := s.MarkViolation(id); err != nil {
 				return nil, err
