@@ -105,14 +105,14 @@ func (c *Collector) Sample() []metrics.Sample {
 			}
 		}
 
-		out = append(out, metrics.NewSample(g.Name, map[metrics.Metric]float64{
+		out = append(out, metrics.Sample{VM: g.Name, Values: map[metrics.Metric]float64{
 			metrics.MetricCPU:    cpuPercent,
 			metrics.MetricMemory: memMB,
 			metrics.MetricIO:     ioMBps,
 			// cgroup v2 has no per-cgroup network accounting in the core
 			// controllers; wiring net_cls/eBPF counters is future work.
 			metrics.MetricNetwork: 0,
-		}))
+		}})
 	}
 	return out
 }

@@ -45,9 +45,6 @@ type Config struct {
 	// after this many newly created states; between refreshes new states
 	// are placed incrementally. Defaults to 8 when 0.
 	RefreshEvery int
-	// SeriesWindow bounds the retained measurement history. Defaults to
-	// 512 when 0.
-	SeriesWindow int
 	// LandmarkThreshold switches full-embedding refreshes to landmark MDS
 	// (§4's cited fast approximation) once the state space exceeds this
 	// many states, using the threshold as the landmark count. From then on
@@ -116,7 +113,6 @@ func DefaultConfig(sensitiveID string, batchIDs []string, ranges map[metrics.Met
 		Ranges:            ranges,
 		DedupEpsilon:      0.03,
 		RefreshEvery:      8,
-		SeriesWindow:      512,
 		LandmarkThreshold: 128,
 		Predictor:         predictor.DefaultConfig(),
 		Trajectory:        trajectory.DefaultModelConfig(),
@@ -137,9 +133,6 @@ func (c *Config) applyDefaults() {
 	}
 	if c.RefreshEvery == 0 {
 		c.RefreshEvery = 8
-	}
-	if c.SeriesWindow == 0 {
-		c.SeriesWindow = 512
 	}
 	if c.Predictor == (predictor.Config{}) {
 		c.Predictor = predictor.DefaultConfig()

@@ -16,8 +16,8 @@ func TestApplyDefaultsFillsZeroValues(t *testing.T) {
 	if cfg.LogicalBatchVM != "batch" {
 		t.Errorf("LogicalBatchVM = %q", cfg.LogicalBatchVM)
 	}
-	if cfg.DedupEpsilon != 0.03 || cfg.RefreshEvery != 8 || cfg.SeriesWindow != 512 {
-		t.Errorf("defaults = %v/%v/%v", cfg.DedupEpsilon, cfg.RefreshEvery, cfg.SeriesWindow)
+	if cfg.DedupEpsilon != 0.03 || cfg.RefreshEvery != 8 {
+		t.Errorf("defaults = %v/%v", cfg.DedupEpsilon, cfg.RefreshEvery)
 	}
 	if cfg.Predictor.Samples != 5 {
 		t.Errorf("predictor default = %+v", cfg.Predictor)

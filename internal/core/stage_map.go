@@ -11,21 +11,18 @@ import (
 )
 
 // mapStage is the default Mapper: the §3.1 measurement pipeline plus the
-// §4 embedding. It owns the normalizer, the online reducer, the bounded
-// measurement series and the state space, and is the single writer of
-// violation/unverified labels.
+// §4 embedding. It owns the normalizer, the vectorizer (whose vector is
+// this lane's, reused every period), the online reducer and the state
+// space, and is the single writer of violation/unverified labels.
 type mapStage struct {
 	cfg Config
 	rng *rand.Rand
 
 	schema     *metrics.Schema
 	normalizer *metrics.Normalizer
+	vectorizer *metrics.Vectorizer
 	reducer    *mds.OnlineReducer
 	space      *statespace.Space
-	series     *metrics.Series
-
-	// isBatch is the set of Config.BatchIDs, for role aggregation.
-	isBatch map[string]bool
 
 	createdSinceSMAC int
 	// qosSilent counts consecutive periods without a fresh QoS report; at
@@ -55,8 +52,10 @@ var _ Mapper = (*mapStage)(nil)
 // config.
 func newMapStage(cfg Config, rng *rand.Rand) (*mapStage, error) {
 	schemaVMs := []string{cfg.SensitiveID, cfg.LogicalBatchVM}
+	logicalVM := cfg.LogicalBatchVM
 	if cfg.DisableBatchAggregation {
 		schemaVMs = append([]string{cfg.SensitiveID}, cfg.BatchIDs...)
+		logicalVM = ""
 	}
 	schema, err := metrics.NewSchema(schemaVMs, metrics.DefaultMetrics())
 	if err != nil {
@@ -66,7 +65,7 @@ func newMapStage(cfg Config, rng *rand.Rand) (*mapStage, error) {
 	if err != nil {
 		return nil, err
 	}
-	series, err := metrics.NewSeries(cfg.SeriesWindow)
+	vectorizer, err := metrics.NewVectorizer(schema, normalizer, logicalVM, cfg.BatchIDs)
 	if err != nil {
 		return nil, err
 	}
@@ -76,39 +75,29 @@ func newMapStage(cfg Config, rng *rand.Rand) (*mapStage, error) {
 	}
 	space := statespace.NewSpace()
 	space.SetRangePolicy(cfg.RangePolicy)
-	isBatch := make(map[string]bool, len(cfg.BatchIDs))
-	for _, id := range cfg.BatchIDs {
-		isBatch[id] = true
-	}
 	return &mapStage{
 		cfg:        cfg,
 		rng:        rng,
 		schema:     schema,
 		normalizer: normalizer,
+		vectorizer: vectorizer,
 		reducer:    mds.NewOnlineReducer(eps),
 		space:      space,
-		series:     series,
-		isBatch:    isBatch,
 	}, nil
 }
 
 // Space implements Mapper.
 func (m *mapStage) Space() *statespace.Space { return m.space }
 
-// Map implements Mapper: aggregate → normalize → flatten → embed → label.
+// Map implements Mapper: aggregate → normalize → flatten (one pass, into
+// the vectorizer's vector) → embed → label. The vector is read, never
+// kept: the reducer and the space copy a new state's.
 func (m *mapStage) Map(in PeriodInput) (MapOutcome, error) {
 	var out MapOutcome
-	samples := in.Samples
-	if !m.cfg.DisableBatchAggregation {
-		samples = metrics.AggregateByRole(m.cfg.LogicalBatchVM, samples,
-			func(vm string) bool { return m.isBatch[vm] })
-	}
-	normalized := m.normalizer.NormalizeAll(samples)
-	vec, err := m.schema.Flatten(normalized)
+	vec, err := m.vectorizer.Vector(in.Samples)
 	if err != nil {
 		return out, fmt.Errorf("core: flatten samples: %w", err)
 	}
-	m.series.Push(in.Period, vec)
 
 	stateID, created, err := m.mapVector(in.Period, vec)
 	if err != nil {

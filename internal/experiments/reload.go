@@ -28,10 +28,10 @@ type reloadEnv struct {
 func (e *reloadEnv) Collect() []metrics.Sample {
 	var out []metrics.Sample
 	for id, cpu := range e.cpu {
-		out = append(out, metrics.NewSample(id, map[metrics.Metric]float64{
+		out = append(out, metrics.Sample{VM: id, Values: map[metrics.Metric]float64{
 			metrics.MetricCPU:    cpu,
 			metrics.MetricMemory: 500,
-		}))
+		}})
 	}
 	metrics.SortSamples(out)
 	return out

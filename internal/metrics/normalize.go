@@ -61,13 +61,33 @@ func DefaultRanges(cores int, memoryMB, diskMBps, netMbps float64) map[Metric]Ra
 // before Normalize so that all samples from the same period share ranges.
 func (n *Normalizer) Observe(s Sample) {
 	for m, v := range s.Values {
-		r, ok := n.ranges[m]
-		if !ok || !r.Adaptive {
-			continue
+		if r, ok := n.ranges[m]; ok {
+			r.observe(v)
 		}
-		if v > r.Max && !math.IsInf(v, 0) && !math.IsNaN(v) {
-			r.Max = v
+	}
+}
+
+// observeSum observes, per metric, the sum of the values of the samples
+// whose VM is in batch — the logical VM Aggregate would build, without
+// building it. A metric no such sample carries sums to 0, which no range
+// absorbs (Max > 0), exactly as Observe skips a metric the aggregate
+// lacks.
+func (n *Normalizer) observeSum(samples []Sample, batch map[string]bool) {
+	for m, r := range n.ranges {
+		var sum float64
+		for _, s := range samples {
+			if batch[s.VM] {
+				sum += s.Values[m]
+			}
 		}
+		r.observe(sum)
+	}
+}
+
+// observe stretches an adaptive range to cover v.
+func (r *Range) observe(v float64) {
+	if r.Adaptive && v > r.Max && !math.IsInf(v, 0) && !math.IsNaN(v) {
+		r.Max = v
 	}
 }
 
@@ -78,22 +98,25 @@ func (n *Normalizer) Observe(s Sample) {
 func (n *Normalizer) Normalize(s Sample) Sample {
 	out := Sample{VM: s.VM, Values: make(map[Metric]float64, len(s.Values))}
 	for m, v := range s.Values {
-		r, ok := n.ranges[m]
-		if !ok {
-			out.Values[m] = v
-			continue
-		}
-		if math.IsNaN(v) || v < 0 {
-			out.Values[m] = 0
-			continue
-		}
-		nv := v / r.Max
-		if nv > 1 {
-			nv = 1
-		}
-		out.Values[m] = nv
+		out.Values[m] = n.scale(m, v)
 	}
 	return out
+}
+
+// scale normalizes one raw value of metric m.
+func (n *Normalizer) scale(m Metric, v float64) float64 {
+	r, ok := n.ranges[m]
+	if !ok {
+		return v
+	}
+	if math.IsNaN(v) || v < 0 {
+		return 0
+	}
+	nv := v / r.Max
+	if nv > 1 {
+		nv = 1
+	}
+	return nv
 }
 
 // NormalizeAll observes and then normalizes a batch of samples from one

@@ -1,8 +1,8 @@
 // Package metrics defines the measurement vectors Stay-Away monitors
 // (§3.1): per-VM resource usage snapshots <CPU, memory, I/O, network>
 // collected every period, their [0,1] normalization (§4), the logical-VM
-// aggregation of multiple batch applications (§5), and bounded time-series
-// storage for trajectory analysis.
+// aggregation of multiple batch applications (§5), and the Vectorizer that
+// fuses the three into one pass for the per-period loop.
 package metrics
 
 import (
@@ -110,11 +110,8 @@ func (s *Schema) Flatten(samples []Sample) ([]float64, error) {
 	seen := make(map[string]bool, len(samples))
 	for _, smp := range samples {
 		pos, ok := s.index[smp.VM]
-		if !ok {
-			return nil, fmt.Errorf("metrics: sample for unknown VM %q", smp.VM)
-		}
-		if seen[smp.VM] {
-			return nil, fmt.Errorf("metrics: duplicate sample for VM %q", smp.VM)
+		if !ok || seen[smp.VM] {
+			return nil, badSample(smp.VM, ok)
 		}
 		seen[smp.VM] = true
 		for mi, m := range s.metrics {
@@ -122,6 +119,15 @@ func (s *Schema) Flatten(samples []Sample) ([]float64, error) {
 		}
 	}
 	return out, nil
+}
+
+// badSample is the error for a sample that cannot be flattened: one for a
+// VM the schema does not know, or a second one for a VM it does.
+func badSample(vm string, known bool) error {
+	if known {
+		return fmt.Errorf("metrics: duplicate sample for VM %q", vm)
+	}
+	return fmt.Errorf("metrics: sample for unknown VM %q", vm)
 }
 
 // SortSamples orders samples by VM name, for deterministic iteration in

@@ -47,7 +47,9 @@ func (c Config) validate() error {
 type Decision struct {
 	// Mode is the execution mode the prediction was made under.
 	Mode trajectory.Mode
-	// Candidates are the sampled future positions.
+	// Candidates are the sampled future positions. The slice is the
+	// predictor's own draw buffer: it is valid until the next Predict on
+	// the same Predictor, which overwrites it. Copy it to keep it.
 	Candidates []mds.Coord
 	// Hits counts candidates inside some violation-range.
 	Hits int
@@ -63,6 +65,8 @@ type Predictor struct {
 	cfg    Config
 	models *trajectory.ModeModels
 	rng    *rand.Rand
+	// drawn holds Config.Samples candidates, redrawn by every Predict.
+	drawn []mds.Coord
 }
 
 // New returns a predictor using the given per-mode trajectory models and
@@ -77,7 +81,7 @@ func New(cfg Config, models *trajectory.ModeModels, rng *rand.Rand) (*Predictor,
 	if rng == nil {
 		return nil, fmt.Errorf("predictor: nil RNG")
 	}
-	return &Predictor{cfg: cfg, models: models, rng: rng}, nil
+	return &Predictor{cfg: cfg, models: models, rng: rng, drawn: make([]mds.Coord, cfg.Samples)}, nil
 }
 
 // Config returns the predictor's configuration.
@@ -90,6 +94,7 @@ func (p *Predictor) Config() Config { return p.cfg }
 // Prediction is skipped (no violation) when the space has no
 // violation-states yet — with nothing learned, throttling would be the
 // "overly aggressive" extreme of §3.2's exploration/prevention trade-off.
+// The returned Decision.Candidates is valid until the next Predict.
 func (p *Predictor) Predict(space *statespace.Space, mode trajectory.Mode, cur mds.Coord) (Decision, error) {
 	d := Decision{Mode: mode}
 	if space == nil {
@@ -98,10 +103,10 @@ func (p *Predictor) Predict(space *statespace.Space, mode trajectory.Mode, cur m
 	if !space.HasViolations() {
 		return d, nil
 	}
-	candidates, err := p.models.PredictFrom(mode, cur, p.rng, p.cfg.Samples)
-	if err != nil {
+	if err := p.models.PredictInto(p.drawn, mode, cur, p.rng); err != nil {
 		return d, err
 	}
+	candidates := p.drawn
 	d.Candidates = candidates
 	for _, c := range candidates {
 		if disc, in := space.InViolationRange(c); in {

@@ -101,7 +101,7 @@ func (c *Collector) Sample() []metrics.Sample {
 				c.prevIO[pid] = io
 			}
 		}
-		out = append(out, metrics.NewSample(g.Name, map[metrics.Metric]float64{
+		out = append(out, metrics.Sample{VM: g.Name, Values: map[metrics.Metric]float64{
 			metrics.MetricCPU:    cpuPercent,
 			metrics.MetricMemory: memMB,
 			metrics.MetricIO:     ioMBps,
@@ -109,7 +109,7 @@ func (c *Collector) Sample() []metrics.Sample {
 			// procfs; a production deployment would wire cgroup net_cls or
 			// eBPF counters here.
 			metrics.MetricNetwork: 0,
-		}))
+		}})
 	}
 	return out
 }

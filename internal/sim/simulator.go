@@ -223,12 +223,12 @@ func (s *Simulator) Samples() []metrics.Sample {
 	for _, id := range s.order {
 		c := s.containers[id]
 		g := c.lastGrant
-		out = append(out, metrics.NewSample(id, map[metrics.Metric]float64{
+		out = append(out, metrics.Sample{VM: id, Values: map[metrics.Metric]float64{
 			metrics.MetricCPU:     g.CPU,
 			metrics.MetricMemory:  g.MemoryMB,
 			metrics.MetricIO:      g.DiskMBps + g.SwapIOMBps,
 			metrics.MetricNetwork: g.NetMbps,
-		}))
+		}})
 	}
 	return out
 }

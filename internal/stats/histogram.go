@@ -150,12 +150,25 @@ func (h *Histogram) CDF() []float64 {
 // InverseCDF maps u in [0,1] to a value x such that CDF(x) ≈ u, using linear
 // interpolation within the selected bin. This is the inverse-transform step
 // used to draw future-state samples from the learned histograms (§3.2.3).
+// It walks the cumulative mass in place — the same divisions CDF performs,
+// in the same order, with the last bin pinned to 1 — so a draw allocates
+// nothing and returns exactly what a walk over CDF() would.
 func (h *Histogram) InverseCDF(u float64) float64 {
 	u = Clamp(u, 0, 1)
-	cdf := h.CDF()
 	w := h.BinWidth()
-	prev := 0.0
-	for i, c := range cdf {
+	n := len(h.counts)
+	var cum, prev float64
+	for i, cnt := range h.counts {
+		var c float64
+		switch {
+		case i == n-1:
+			c = 1
+		case h.total == 0:
+			c = float64(i+1) / float64(n)
+		default:
+			cum += cnt
+			c = cum / h.total
+		}
 		if c <= prev {
 			// Empty bin: carries no probability mass, so it can never be
 			// the inverse image of u — skip to the first bin with mass.

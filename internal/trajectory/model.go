@@ -122,17 +122,16 @@ func (m *Model) SampleStep(rng *rand.Rand) Step {
 	return Step{Distance: d, Angle: stats.NormalizeAngle(a)}
 }
 
-// PredictFrom generates n candidate future positions from cur: "a random
-// set of samples are then generated following the histogram using the
-// inverse transform method... this allows us to predict a set of new
+// PredictInto fills dst with candidate future positions from cur: "a
+// random set of samples are then generated following the histogram using
+// the inverse transform method... this allows us to predict a set of new
 // states around the current state and models the uncertainty in the likely
-// position of the future state" (§3.2.3).
-func (m *Model) PredictFrom(cur mds.Coord, rng *rand.Rand, n int) []mds.Coord {
-	out := make([]mds.Coord, n)
-	for i := range out {
-		out[i] = m.SampleStep(rng).Destination(cur)
+// position of the future state" (§3.2.3). The caller owns dst, so a
+// forecast that reuses one buffer allocates nothing.
+func (m *Model) PredictInto(dst []mds.Coord, cur mds.Coord, rng *rand.Rand) {
+	for i := range dst {
+		dst[i] = m.SampleStep(rng).Destination(cur)
 	}
-	return out
 }
 
 // DistancePDF exposes the smoothed step-length density for figures
@@ -211,11 +210,13 @@ func (mm *ModeModels) ModelFor(mode Mode) (*Model, error) {
 	return mm.models[mode], nil
 }
 
-// PredictFrom samples n candidate future positions under the given mode.
-func (mm *ModeModels) PredictFrom(mode Mode, cur mds.Coord, rng *rand.Rand, n int) ([]mds.Coord, error) {
+// PredictInto fills dst with candidate future positions under the given
+// mode.
+func (mm *ModeModels) PredictInto(dst []mds.Coord, mode Mode, cur mds.Coord, rng *rand.Rand) error {
 	m, err := mm.ModelFor(mode)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	return m.PredictFrom(cur, rng, n), nil
+	m.PredictInto(dst, cur, rng)
+	return nil
 }

@@ -135,10 +135,8 @@ func TestModelPredictFrom(t *testing.T) {
 		m.Observe(Step{Distance: 0.5, Angle: 0}) // always east
 	}
 	cur := mds.Coord{X: 1, Y: 1}
-	preds := m.PredictFrom(cur, rand.New(rand.NewSource(5)), 5)
-	if len(preds) != 5 {
-		t.Fatalf("predictions = %d, want 5", len(preds))
-	}
+	preds := make([]mds.Coord, 5)
+	m.PredictInto(preds, cur, rand.New(rand.NewSource(5)))
 	for _, p := range preds {
 		if p.X <= cur.X {
 			t.Errorf("prediction %v should move east of %v", p, cur)
@@ -208,14 +206,19 @@ func TestModeModelsDispatch(t *testing.T) {
 	if colo.Count() != 20 || idle.Count() != 0 {
 		t.Errorf("counts: colocated=%d idle=%d", colo.Count(), idle.Count())
 	}
-	preds, err := mm.PredictFrom(ModeColocated, mds.Coord{}, rand.New(rand.NewSource(1)), 3)
-	if err != nil || len(preds) != 3 {
-		t.Errorf("predict: %v, %v", preds, err)
+	preds := make([]mds.Coord, 3)
+	if err := mm.PredictInto(preds, ModeColocated, mds.Coord{}, rand.New(rand.NewSource(1))); err != nil {
+		t.Errorf("predict: %v", err)
+	}
+	for _, p := range preds {
+		if p.X <= 0 {
+			t.Errorf("co-located prediction %v should move east", p)
+		}
 	}
 	if err := mm.Observe(Mode(9), Step{}); err == nil {
 		t.Error("invalid mode should error")
 	}
-	if _, err := mm.PredictFrom(Mode(-1), mds.Coord{}, rand.New(rand.NewSource(1)), 1); err == nil {
+	if err := mm.PredictInto(make([]mds.Coord, 1), Mode(-1), mds.Coord{}, rand.New(rand.NewSource(1))); err == nil {
 		t.Error("invalid mode predict should error")
 	}
 }
@@ -272,8 +275,8 @@ func TestPerModeBeatsSingleModelOnMixedTrajectories(t *testing.T) {
 	// Truth: next sensitive-only step is (0.05, π/2).
 	truth := Step{Distance: 0.05, Angle: math.Pi / 2}.Destination(mds.Coord{})
 	evalErr := func(mm *ModeModels, seed int64) float64 {
-		preds, err := mm.PredictFrom(ModeSensitiveOnly, mds.Coord{}, rand.New(rand.NewSource(seed)), 20)
-		if err != nil {
+		preds := make([]mds.Coord, 20)
+		if err := mm.PredictInto(preds, ModeSensitiveOnly, mds.Coord{}, rand.New(rand.NewSource(seed))); err != nil {
 			t.Fatal(err)
 		}
 		var sum float64
