@@ -4,6 +4,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"repro/internal/race"
 )
 
 func TestPlaceFirstPoint(t *testing.T) {
@@ -131,5 +133,29 @@ func TestPlaceStressDecreases(t *testing.T) {
 	}
 	if s50 > s1+1e-9 {
 		t.Errorf("stress after 50 iters (%v) worse than after 1 (%v)", s50, s1)
+	}
+}
+
+func TestPlaceAllocs(t *testing.T) {
+	if race.Enabled {
+		t.Skip("allocation counts are meaningless under -race")
+	}
+	rng := rand.New(rand.NewSource(9))
+	anchors := make([]Coord, 1000)
+	delta := make([]float64, len(anchors))
+	for i := range anchors {
+		anchors[i] = Coord{rng.NormFloat64(), rng.NormFloat64()}
+		delta[i] = anchors[i].Dist(Coord{0.3, -0.2}) * (0.8 + 0.4*rng.Float64())
+	}
+	var sink Coord
+	n := testing.AllocsPerRun(20, func() {
+		p, _, err := Place(anchors, delta, PlaceOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sink = sink.Add(p)
+	})
+	if n != 0 {
+		t.Errorf("Place against %d anchors allocates %v times per call, want 0", len(anchors), n)
 	}
 }

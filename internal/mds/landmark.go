@@ -9,8 +9,8 @@ import (
 // Landmark MDS — the "fast approximation to multidimensional scaling" §4
 // cites as the alternative to representative-sample reduction: embed only
 // k landmark points with full SMACOF, then place every remaining point
-// against the landmark configuration by single-point majorization. Cost
-// drops from O(n²) per iteration to O(k² + n·k).
+// against the landmark configuration with Place. Cost drops from O(n²)
+// per iteration to O(k² + n·k).
 
 // LandmarkResult carries the output of a landmark MDS run.
 type LandmarkResult struct {

@@ -4,15 +4,18 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 )
 
-// Differential oracles for the fused kernels. referenceSMACOF and
-// referencePlace are the implementations SMACOF and Place replaced: one
-// pass over the pair distances for the Guttman transform, another for the
-// stress, a fresh configuration per iteration. The fused kernels must
-// reproduce them bit for bit — the claim is "same arithmetic, fewer
-// square roots", so no tolerance is accepted.
+// Differential oracles for the placement kernels. referenceSMACOF is the
+// implementation SMACOF replaced: one pass over the pair distances for the
+// Guttman transform, another for the stress, a fresh configuration per
+// iteration. SMACOF must reproduce it bit for bit — the claim is "same
+// arithmetic, fewer square roots", so no tolerance is accepted.
+// referencePlace is the plain single-point majorizer: Place must reproduce
+// it bit for bit on flat anchor sets, and elsewhere land where it lands
+// when run to convergence.
 
 // guttman applies one (unweighted) Guttman transform: X' = n⁻¹ B(X) X with
 // b_ij = −δ_ij/d_ij for i≠j (0 when d_ij = 0) and b_ii = −Σ_{j≠i} b_ij.
@@ -152,10 +155,10 @@ func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bit
 
 func sameCoordBits(a, b Coord) bool { return sameBits(a.X, b.X) && sameBits(a.Y, b.Y) }
 
-// oracleConfigs are the point sets both oracles run over: random clouds
-// across the sizes that matter (including one past Place's stack buffer),
-// exactly collinear points, coincident points, duplicates inside a cloud,
-// and the degenerate sizes 1–3.
+// oracleConfigs are the point sets the oracles run over: random clouds
+// across the sizes that matter, exactly collinear points, coincident
+// points, duplicates inside a cloud, and the degenerate sizes 1–3.
+// flatOracleConfigs names the ones Place treats as flat.
 func oracleConfigs(rng *rand.Rand) map[string][]Coord {
 	random := func(n int) []Coord {
 		out := make([]Coord, n)
@@ -187,6 +190,10 @@ func oracleConfigs(rng *rand.Rand) map[string][]Coord {
 		"two-coincident": {{1, 1}, {1, 1}},
 		"duplicates":     withDuplicates,
 	}
+}
+
+var flatOracleConfigs = map[string]bool{
+	"n=1": true, "n=2": true, "collinear": true, "diagonal": true, "coincident": true, "two-coincident": true,
 }
 
 func TestSMACOFMatchesReferenceBitForBit(t *testing.T) {
@@ -253,16 +260,57 @@ func TestSMACOFLeavesInitUntouched(t *testing.T) {
 	}
 }
 
-func TestPlaceMatchesReferenceBitForBit(t *testing.T) {
+// sortedNames lists m's keys in order, so fixtures draw from the RNG in
+// the same order on every run.
+func sortedNames(m map[string][]Coord) []string {
+	names := make([]string, 0, len(m))
+	for name := range m {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	return names
+}
+
+// placeTargets are the points placed against each oracle anchor set: one
+// near the cloud, one far outside it, and two at zero dissimilarity to an
+// anchor.
+func placeTargets(anchors []Coord, rng *rand.Rand) []Coord {
+	return []Coord{{rng.NormFloat64(), rng.NormFloat64()}, {50, -50}, anchors[0], anchors[len(anchors)-1]}
+}
+
+// TestPlaceFlatMatchesReferenceBitForBit: on a flat anchor set Place is
+// the plain majorizer — every two-anchor set, exact lines, coincident
+// anchors, and the near-line a Torgerson start jitters off a collinear
+// configuration.
+func TestPlaceFlatMatchesReferenceBitForBit(t *testing.T) {
 	rng := rand.New(rand.NewSource(20140802))
-	for name, anchors := range oracleConfigs(rng) {
-		targets := []Coord{
-			{rng.NormFloat64(), rng.NormFloat64()},
-			{50, -50},
-			anchors[0], // zero dissimilarity to an anchor
-			anchors[len(anchors)-1],
+	flat := map[string][]Coord{
+		"pair-far":      {{-40, 3}, {25, 17}},
+		"pair-close":    {{1, 1}, {1 + 1e-7, 1}},
+		"pair-vertical": {{0, 0}, {0, 5}},
+	}
+	configs := oracleConfigs(rng)
+	for name := range flatOracleConfigs {
+		flat[name] = configs[name]
+	}
+	line := make([]Coord, 10)
+	for i := range line {
+		line[i] = Coord{float64(i), 0.5 * float64(i)}
+	}
+	jittered := Torgerson(planted2D(line), rng)
+	for _, p := range jittered {
+		if p.Y == 0 || math.Abs(p.Y) > 5e-7 {
+			t.Fatalf("Torgerson start of a line is not the jittered line: %v", jittered)
 		}
-		for ti, target := range targets {
+	}
+	flat["torgerson-line"] = jittered
+	for i := 0; i < 8; i++ {
+		flat[fmt.Sprintf("pair-%d", i)] = randomConfig(2, rng)
+	}
+
+	for _, name := range sortedNames(flat) {
+		anchors := flat[name]
+		for ti, target := range placeTargets(anchors, rng) {
 			for _, noise := range []float64{0, 0.4} {
 				delta := make([]float64, len(anchors))
 				for i, a := range anchors {
@@ -292,5 +340,111 @@ func TestPlaceMatchesReferenceBitForBit(t *testing.T) {
 	want, wantStress := referencePlace(anchors, make([]float64, 4), PlaceOptions{})
 	if !sameCoordBits(got, want) || !sameBits(gotStress, wantStress) {
 		t.Errorf("coincident anchors: placed %v stress %v, reference %v stress %v", got, gotStress, want, wantStress)
+	}
+}
+
+// landmarkFixture is a k-landmark configuration as the landmark solve
+// produces it — SMACOF over k random 8-D vectors — and the
+// dissimilarities of further random vectors to its landmarks.
+func landmarkFixture(t *testing.T, k, targets int, rng *rand.Rand) ([]Coord, [][]float64) {
+	vec := func() []float64 {
+		v := make([]float64, 8)
+		for i := range v {
+			v[i] = rng.Float64()
+		}
+		return v
+	}
+	landmarks := make([][]float64, k)
+	for i := range landmarks {
+		landmarks[i] = vec()
+	}
+	res, err := LandmarkMDSVectors(landmarks, k, DefaultOptions(rng))
+	if err != nil {
+		t.Fatal(err)
+	}
+	deltas := make([][]float64, targets)
+	for j := range deltas {
+		v := vec()
+		deltas[j] = make([]float64, k)
+		for i, l := range landmarks {
+			deltas[j][i] = Euclidean(v, l)
+		}
+	}
+	return res.Config, deltas
+}
+
+// TestPlaceConvergesToReference: on 2-D anchor sets Place lands where the
+// majorizer lands when run to convergence from the same start, at no more
+// stress than the majorizer's default 50 iterations reach, within
+// MaxIter+1 evaluation passes. Newton may find a different basin than the
+// majorizer, so the first two are shares, not every fixture.
+func TestPlaceConvergesToReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(20140803))
+	type fixture struct {
+		name    string
+		anchors []Coord
+		delta   []float64
+	}
+	var fixtures []fixture
+	configs := oracleConfigs(rng)
+	for _, name := range sortedNames(configs) {
+		if flatOracleConfigs[name] {
+			continue
+		}
+		anchors := configs[name]
+		for ti, target := range placeTargets(anchors, rng) {
+			for _, noise := range []float64{0, 0.4} {
+				delta := make([]float64, len(anchors))
+				for i, a := range anchors {
+					delta[i] = target.Dist(a) * (1 + noise*rng.Float64())
+				}
+				fixtures = append(fixtures, fixture{fmt.Sprintf("%s target %d noise %v", name, ti, noise), anchors, delta})
+			}
+		}
+	}
+	for _, k := range []int{16, 64, 128, 200} {
+		anchors, deltas := landmarkFixture(t, k, 100, rng)
+		for ti, delta := range deltas {
+			fixtures = append(fixtures, fixture{fmt.Sprintf("landmarks k=%d target %d", k, ti), anchors, delta})
+		}
+	}
+
+	converged := PlaceOptions{MaxIter: 1e5, Epsilon: 1e-16}
+	var near, notWorse int
+	for _, f := range fixtures {
+		got, stress, _, err := place(f.anchors, f.delta, PlaceOptions{})
+		if err != nil {
+			t.Fatalf("%s: %v", f.name, err)
+		}
+		if s := referencePointStress(f.anchors, f.delta, got); !sameBits(s, stress) {
+			t.Errorf("%s: reported stress %v, stress at the placed point %v", f.name, stress, s)
+		}
+		if want, _ := referencePlace(f.anchors, f.delta, converged); got.Dist(want) <= 1e-3 {
+			near++
+		}
+		if _, today := referencePlace(f.anchors, f.delta, PlaceOptions{}); stress <= today*(1+1e-9) {
+			notWorse++
+		}
+		for _, opts := range []PlaceOptions{{}, {MaxIter: 1}, {MaxIter: 2}, {MaxIter: 7}, {MaxIter: 500, Epsilon: 1e-15}} {
+			_, _, passes, err := place(f.anchors, f.delta, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			budget := opts.MaxIter
+			if budget == 0 {
+				budget = 50
+			}
+			if passes > budget+1 {
+				t.Errorf("%s opts %+v: %d evaluation passes, budget %d", f.name, opts, passes, budget+1)
+			}
+		}
+	}
+	n := len(fixtures)
+	t.Logf("%d fixtures: %d within 1e-3 of the converged majorizer, %d at or below its 50-iteration stress", n, near, notWorse)
+	if 100*near < 90*n {
+		t.Errorf("%d of %d placements within 1e-3 of the converged majorizer, want ≥ 90%%", near, n)
+	}
+	if 100*notWorse < 97*n {
+		t.Errorf("%d of %d placements at or below the majorizer's 50-iteration stress, want ≥ 97%%", notWorse, n)
 	}
 }

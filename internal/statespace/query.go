@@ -140,8 +140,9 @@ func (q *QueryMap) CombinedVector(sensitive, batch map[metrics.Metric]float64) [
 }
 
 // Project embeds a normalized vector into the template's 2-D layout by
-// single-point stress majorization against the existing configuration
-// (the out-of-sample extension of §4's incremental placement): the point
+// single-point stress minimization (mds.Place) against the existing
+// configuration (the out-of-sample extension of §4's incremental
+// placement): the point
 // lands where its vector-space distances to every known state are best
 // preserved.
 func (q *QueryMap) Project(vec []float64) (mds.Coord, error) {
