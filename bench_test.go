@@ -8,7 +8,6 @@ package stayaway_test
 // themselves live in internal/experiments tests.
 
 import (
-	"fmt"
 	"math/rand"
 	"testing"
 
@@ -215,15 +214,18 @@ func BenchmarkAblationDedup(b *testing.B) {
 		samples[i] = s
 	}
 	embed := func(eps float64) int {
-		red := mds.Reduce(samples, eps)
-		delta, err := mds.DistanceMatrix(red.Representatives)
+		red := mds.NewOnlineReducer(eps)
+		for _, s := range samples {
+			red.Observe(s)
+		}
+		delta, err := mds.DistanceMatrix(red.Representatives())
 		if err != nil {
 			b.Fatal(err)
 		}
 		if _, err := mds.SMACOF(delta, mds.DefaultOptions(rand.New(rand.NewSource(1)))); err != nil {
 			b.Fatal(err)
 		}
-		return len(red.Representatives)
+		return red.Len()
 	}
 	b.Run("dedup-on", func(b *testing.B) {
 		n := 0
@@ -457,91 +459,6 @@ func BenchmarkReplayMultiDay(b *testing.B) {
 	}
 	b.ReportMetric(float64(cfg.Days), "trace_days")
 	b.ReportMetric(float64(ticks), "ticks")
-}
-
-// BenchmarkPeriodScaling measures one runtime period (collect → map →
-// predict → act) against a pre-learned state space of 10² to 10⁵ states —
-// the regime template sharing and fleet merging produce. Merging is
-// disabled so the synthetic states import verbatim, and refreshes use
-// landmark MDS so no period pays the full O(N²) SMACOF.
-func BenchmarkPeriodScaling(b *testing.B) {
-	for _, n := range []int{100, 1000, 10000, 100000} {
-		b.Run(fmt.Sprintf("states=%d", n), func(b *testing.B) {
-			host := sim.DefaultHostConfig()
-			simulator, err := sim.NewSimulator(host)
-			if err != nil {
-				b.Fatal(err)
-			}
-			vlc := apps.NewVLCStream(apps.DefaultVLCStreamConfig(), rand.New(rand.NewSource(1)))
-			if _, err := simulator.AddContainer("vlc", vlc); err != nil {
-				b.Fatal(err)
-			}
-			twCfg := apps.DefaultTwitterConfig()
-			twCfg.TotalWork = 0
-			if _, err := simulator.AddContainer("tw", apps.NewTwitterAnalysis(twCfg, rand.New(rand.NewSource(2)))); err != nil {
-				b.Fatal(err)
-			}
-			env := experiments.NewSimEnvironment(simulator, "vlc", []string{"tw"}, vlc)
-			ranges := metrics.DefaultRanges(host.Cores, host.MemoryMB, host.DiskMBps, host.NetMbps)
-			cfg := core.DefaultConfig("vlc", []string{"tw"}, ranges)
-			cfg.DedupEpsilon = -1       // imported synthetic states must not collapse
-			cfg.LandmarkThreshold = 256 // refreshes stay approximate at scale
-			rt, err := core.New(cfg, env, experiments.NewSimActuator(simulator))
-			if err != nil {
-				b.Fatal(err)
-			}
-			if err := rt.ImportTemplate(syntheticTemplate(b, n, ranges)); err != nil {
-				b.Fatal(err)
-			}
-			// Warm up past the first refreshes so the loop measures the
-			// steady-state period cost.
-			for i := 0; i < 12; i++ {
-				simulator.Step()
-				if _, err := rt.Period(); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				simulator.Step()
-				if _, err := rt.Period(); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(rt.Report().States), "states")
-		})
-	}
-}
-
-// syntheticTemplate fabricates a learned map with n states (one in ten a
-// violation state) across the unit measurement cube.
-func syntheticTemplate(b *testing.B, n int, ranges map[metrics.Metric]metrics.Range) *statespace.Template {
-	b.Helper()
-	rng := rand.New(rand.NewSource(benchSeed))
-	t := &statespace.Template{
-		Version:      1, // dim-only compatibility: schema fields omitted
-		SensitiveApp: "vlc",
-		Dim:          8,
-		Ranges:       ranges,
-	}
-	for i := 0; i < n; i++ {
-		vec := make([]float64, t.Dim)
-		for d := range vec {
-			vec[d] = rng.Float64()
-		}
-		label := statespace.Safe.String()
-		if i%10 == 9 {
-			label = statespace.Violation.String()
-		}
-		t.States = append(t.States, statespace.TemplateState{
-			X:      rng.Float64(),
-			Y:      rng.Float64(),
-			Label:  label,
-			Weight: 1,
-			Vector: vec,
-		})
-	}
-	return t
 }
 
 // BenchmarkOverheadControllerStep measures the cost of one full Stay-Away

@@ -7,62 +7,13 @@ package mds
 // bounded by the number of *distinct* system states rather than the number
 // of monitoring periods.
 
-// Reduction maps original sample indices onto a smaller representative set.
-type Reduction struct {
-	// Representatives holds the retained vectors.
-	Representatives [][]float64
-	// Assignment[i] is the index into Representatives for original sample i.
-	Assignment []int
-	// Weights[r] counts how many original samples representative r stands
-	// for.
-	Weights []int
-}
-
-// Reduce greedily merges samples within epsilon (Euclidean) of an existing
-// representative. The first sample of each cluster becomes its
-// representative, so the reduction is deterministic and order-stable:
-// re-running with the same inputs yields the same representatives, and the
-// representative positions are actual observed states (never synthetic
-// averages), which keeps violation labels attached to real measurements.
-//
-// epsilon <= 0 disables merging (every sample is its own representative).
-func Reduce(samples [][]float64, epsilon float64) *Reduction {
-	r := &Reduction{Assignment: make([]int, len(samples))}
-	for i, s := range samples {
-		idx := -1
-		if epsilon > 0 {
-			for j, rep := range r.Representatives {
-				if Euclidean(s, rep) <= epsilon {
-					idx = j
-					break
-				}
-			}
-		}
-		if idx < 0 {
-			idx = len(r.Representatives)
-			r.Representatives = append(r.Representatives, s)
-			r.Weights = append(r.Weights, 0)
-		}
-		r.Assignment[i] = idx
-		r.Weights[idx]++
-	}
-	return r
-}
-
-// Expand maps a configuration of the representatives back onto the original
-// sample order: original sample i receives the coordinates of its
-// representative.
-func (r *Reduction) Expand(repConfig []Coord) []Coord {
-	out := make([]Coord, len(r.Assignment))
-	for i, idx := range r.Assignment {
-		out[i] = repConfig[idx]
-	}
-	return out
-}
-
-// Incremental reduction for the runtime: an OnlineReducer maintains the
-// representative set across periods so per-period cost stays proportional
-// to the number of distinct states.
+// OnlineReducer maintains the representative set across periods, so
+// per-period cost stays proportional to the number of distinct states. A
+// sample merges into the first representative within epsilon (Euclidean)
+// of it; otherwise it becomes a representative itself. The reduction is
+// therefore deterministic and order-stable, and every representative is
+// an observed state (never a synthetic average), which keeps violation
+// labels attached to real measurements. epsilon <= 0 disables merging.
 type OnlineReducer struct {
 	epsilon float64
 	reps    [][]float64

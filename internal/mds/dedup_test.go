@@ -6,6 +6,17 @@ import (
 	"testing/quick"
 )
 
+// reduce observes samples in order and returns the reducer and each
+// sample's representative.
+func reduce(samples [][]float64, epsilon float64) (*OnlineReducer, []int) {
+	o := NewOnlineReducer(epsilon)
+	assignment := make([]int, len(samples))
+	for i, s := range samples {
+		assignment[i], _ = o.Observe(s)
+	}
+	return o, assignment
+}
+
 func TestReduceMergesCloseSamples(t *testing.T) {
 	samples := [][]float64{
 		{0, 0},
@@ -14,59 +25,44 @@ func TestReduceMergesCloseSamples(t *testing.T) {
 		{0.999, 1.001}, // merges with sample 2
 		{5, 5},
 	}
-	r := Reduce(samples, 0.01)
-	if len(r.Representatives) != 3 {
-		t.Fatalf("representatives = %d, want 3", len(r.Representatives))
+	o, assignment := reduce(samples, 0.01)
+	if o.Len() != 3 {
+		t.Fatalf("representatives = %d, want 3", o.Len())
 	}
 	wantAssign := []int{0, 0, 1, 1, 2}
-	for i, a := range r.Assignment {
+	for i, a := range assignment {
 		if a != wantAssign[i] {
 			t.Errorf("assignment[%d] = %d, want %d", i, a, wantAssign[i])
 		}
 	}
 	wantWeights := []int{2, 2, 1}
-	for i, w := range r.Weights {
-		if w != wantWeights[i] {
-			t.Errorf("weight[%d] = %d, want %d", i, w, wantWeights[i])
+	for i, w := range wantWeights {
+		if o.Weight(i) != w {
+			t.Errorf("weight[%d] = %d, want %d", i, o.Weight(i), w)
 		}
 	}
 }
 
 func TestReduceZeroEpsilonKeepsAll(t *testing.T) {
-	samples := [][]float64{{0}, {0}, {0}}
-	r := Reduce(samples, 0)
-	if len(r.Representatives) != 3 {
-		t.Errorf("representatives = %d, want 3 with epsilon=0", len(r.Representatives))
+	o, _ := reduce([][]float64{{0}, {0}, {0}}, 0)
+	if o.Len() != 3 {
+		t.Errorf("representatives = %d, want 3 with epsilon=0", o.Len())
 	}
 }
 
 func TestReduceEmpty(t *testing.T) {
-	r := Reduce(nil, 0.1)
-	if len(r.Representatives) != 0 || len(r.Assignment) != 0 {
-		t.Errorf("empty reduce: %+v", r)
+	o := NewOnlineReducer(0.1)
+	if o.Len() != 0 || len(o.Representatives()) != 0 {
+		t.Errorf("empty reducer: %d representatives", o.Len())
 	}
 }
 
 func TestReduceRepresentativesAreObservedStates(t *testing.T) {
-	samples := [][]float64{{1, 2}, {1.0001, 2.0001}, {9, 9}}
-	r := Reduce(samples, 0.01)
+	o, _ := reduce([][]float64{{1, 2}, {1.0001, 2.0001}, {9, 9}}, 0.01)
 	// The representative of the first cluster must be exactly sample 0,
 	// never an average.
-	if r.Representatives[0][0] != 1 || r.Representatives[0][1] != 2 {
-		t.Errorf("representative mutated: %v", r.Representatives[0])
-	}
-}
-
-func TestReduceExpand(t *testing.T) {
-	samples := [][]float64{{0}, {0.001}, {5}}
-	r := Reduce(samples, 0.01)
-	cfg := []Coord{{1, 1}, {2, 2}}
-	full := r.Expand(cfg)
-	if len(full) != 3 {
-		t.Fatalf("expanded length = %d, want 3", len(full))
-	}
-	if full[0] != cfg[0] || full[1] != cfg[0] || full[2] != cfg[1] {
-		t.Errorf("expand wrong: %v", full)
+	if r := o.Representative(0); r[0] != 1 || r[1] != 2 {
+		t.Errorf("representative mutated: %v", r)
 	}
 }
 
@@ -79,16 +75,16 @@ func TestReduceInvariantsProperty(t *testing.T) {
 			samples[i] = []float64{float64(r) / 255}
 		}
 		const eps = 0.05
-		red := Reduce(samples, eps)
+		o, assignment := reduce(samples, eps)
 		total := 0
-		for _, w := range red.Weights {
-			total += w
+		for i := 0; i < o.Len(); i++ {
+			total += o.Weight(i)
 		}
 		if total != len(samples) {
 			return false
 		}
-		for i, a := range red.Assignment {
-			if Euclidean(samples[i], red.Representatives[a]) > eps {
+		for i, a := range assignment {
+			if Euclidean(samples[i], o.Representative(a)) > eps {
 				return false
 			}
 		}
@@ -131,28 +127,6 @@ func TestOnlineReducerCopiesSamples(t *testing.T) {
 	}
 }
 
-func TestOnlineReducerMatchesBatchReduce(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	samples := make([][]float64, 200)
-	for i := range samples {
-		samples[i] = []float64{rng.Float64(), rng.Float64()}
-	}
-	const eps = 0.15
-	batch := Reduce(samples, eps)
-	online := NewOnlineReducer(eps)
-	for _, s := range samples {
-		online.Observe(s)
-	}
-	if online.Len() != len(batch.Representatives) {
-		t.Fatalf("online reps = %d, batch reps = %d", online.Len(), len(batch.Representatives))
-	}
-	for i := 0; i < online.Len(); i++ {
-		if Euclidean(online.Representative(i), batch.Representatives[i]) != 0 {
-			t.Errorf("representative %d differs", i)
-		}
-	}
-}
-
 func TestReduceCutsSMACOFCost(t *testing.T) {
 	// The §4 optimization: heavy duplication should collapse to a tiny
 	// representative set whose embedding still reproduces the distinct
@@ -164,11 +138,11 @@ func TestReduceCutsSMACOFCost(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		samples = append(samples, []float64{0.9, 0.9})
 	}
-	r := Reduce(samples, 0.01)
-	if len(r.Representatives) != 2 {
-		t.Fatalf("representatives = %d, want 2", len(r.Representatives))
+	o, assignment := reduce(samples, 0.01)
+	if o.Len() != 2 {
+		t.Fatalf("representatives = %d, want 2", o.Len())
 	}
-	delta, err := DistanceMatrix(r.Representatives)
+	delta, err := DistanceMatrix(o.Representatives())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,11 +150,7 @@ func TestReduceCutsSMACOFCost(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	full := r.Expand(res.Config)
-	if len(full) != 200 {
-		t.Fatalf("expanded = %d, want 200", len(full))
-	}
-	if d := full[0].Dist(full[150]); d < 0.5 {
+	if d := res.Config[assignment[0]].Dist(res.Config[assignment[150]]); d < 0.5 {
 		t.Errorf("cluster separation lost after reduction: %v", d)
 	}
 }

@@ -29,16 +29,19 @@ func ExampleSMACOF() {
 
 // The §4 optimization: near-duplicate samples collapse onto one
 // representative, keeping the embedding cost bounded.
-func ExampleReduce() {
+func ExampleOnlineReducer() {
 	samples := [][]float64{
 		{0.50, 0.50},
 		{0.501, 0.499}, // within epsilon of the first
 		{0.90, 0.10},
 	}
-	r := mds.Reduce(samples, 0.01)
-	fmt.Printf("representatives: %d\n", len(r.Representatives))
-	fmt.Printf("weights: %v\n", r.Weights)
+	r := mds.NewOnlineReducer(0.01)
+	for _, s := range samples {
+		r.Observe(s)
+	}
+	fmt.Printf("representatives: %d\n", r.Len())
+	fmt.Printf("weights: %d %d\n", r.Weight(0), r.Weight(1))
 	// Output:
 	// representatives: 2
-	// weights: [2 1]
+	// weights: 2 1
 }

@@ -18,8 +18,7 @@ type LandmarkResult struct {
 	Config []Coord
 	// Landmarks are the indices chosen as landmarks.
 	Landmarks []int
-	// Stress is the normalized stress-1 of the *full* configuration
-	// against the complete dissimilarity matrix.
+	// Stress is the normalized stress-1 of the landmark subproblem.
 	Stress float64
 	// CoverRadius is the largest dissimilarity between any point and its
 	// nearest landmark: the landmark set covers the data to within it. A
@@ -28,26 +27,9 @@ type LandmarkResult struct {
 	CoverRadius float64
 }
 
-// LandmarkMDS embeds delta using k landmarks chosen by greedy farthest-
-// point (maxmin) selection. k is clamped to [3, n]; with k = n it reduces
-// to plain SMACOF.
-func LandmarkMDS(delta *Matrix, k int, opts Options) (*LandmarkResult, error) {
-	n := delta.Size()
-	if n == 0 {
-		return nil, fmt.Errorf("mds: empty dissimilarity matrix")
-	}
-	res, err := landmarkMDS(n, k, delta.At, opts)
-	if err != nil {
-		return nil, err
-	}
-	// The caller already paid for the full matrix, so the exact full-
-	// configuration stress is affordable here.
-	res.Stress = Stress1(delta, res.Config)
-	return res, nil
-}
-
-// LandmarkMDSVectors runs landmark MDS directly from the data vectors,
-// computing distances on demand. It never materializes the n×n
+// LandmarkMDSVectors embeds vectors using k landmarks chosen by greedy
+// farthest-point (maxmin) selection; k is clamped to [3, n], and with
+// k = n it reduces to plain SMACOF. It never materializes the n×n
 // dissimilarity matrix, so memory stays O(n·k) and time O(n·k) plus the
 // O(k²) landmark solve — the difference between a 10⁵-state refresh
 // finishing in milliseconds and allocating tens of gigabytes. Stress is
@@ -64,37 +46,22 @@ func LandmarkMDSVectors(vectors [][]float64, k int, opts Options) (*LandmarkResu
 			return nil, fmt.Errorf("mds: vector %d has dimension %d, want %d", i, len(v), dim)
 		}
 	}
-	return landmarkMDS(n, k, func(i, j int) float64 {
-		return Euclidean(vectors[i], vectors[j])
-	}, opts)
-}
-
-// landmarkMDS is the shared core: n points whose dissimilarities are read
-// through dist, k landmarks. The returned Stress is the landmark
-// subproblem's stress; LandmarkMDS overwrites it with the exact value.
-func landmarkMDS(n, k int, dist func(i, j int) float64, opts Options) (*LandmarkResult, error) {
 	if opts.RNG == nil {
 		return nil, fmt.Errorf("mds: RNG required for landmark selection")
 	}
-	if k < 3 {
-		k = 3
-	}
-	if k > n {
-		k = n
-	}
+	k = min(max(k, 3), n)
 
-	landmarks, cover := maxminLandmarks(n, k, dist, opts.RNG)
-
-	// Full SMACOF on the landmark submatrix.
+	// The selection measures every point against every landmark it picks;
+	// the landmark submatrix and the triangulation read those distances
+	// instead of measuring them again.
+	landmarks, cover, dists := maxminLandmarks(vectors, k, opts.RNG)
 	sub, err := NewMatrix(len(landmarks))
 	if err != nil {
 		return nil, err
 	}
 	for i, li := range landmarks {
-		for j, lj := range landmarks {
-			if j > i {
-				sub.Set(i, j, dist(li, lj))
-			}
+		for j := i + 1; j < len(landmarks); j++ {
+			sub.Set(i, j, dists[li*k+j])
 		}
 	}
 	subOpts := opts
@@ -106,20 +73,16 @@ func landmarkMDS(n, k int, dist func(i, j int) float64, opts Options) (*Landmark
 
 	// Place every non-landmark against the landmark configuration.
 	config := make([]Coord, n)
-	isLandmark := make(map[int]int, len(landmarks))
+	isLandmark := make([]bool, n)
 	for i, li := range landmarks {
-		isLandmark[li] = i
+		isLandmark[li] = true
 		config[li] = res.Config[i]
 	}
-	d := make([]float64, len(landmarks))
-	for p := 0; p < n; p++ {
-		if _, ok := isLandmark[p]; ok {
+	for p := range config {
+		if isLandmark[p] {
 			continue
 		}
-		for i, li := range landmarks {
-			d[i] = dist(p, li)
-		}
-		pos, _, err := Place(res.Config, d, PlaceOptions{})
+		pos, _, err := Place(res.Config, dists[p*k:p*k+len(landmarks)], PlaceOptions{})
 		if err != nil {
 			return nil, err
 		}
@@ -140,9 +103,12 @@ func landmarkMDS(n, k int, dist func(i, j int) float64, opts Options) (*Landmark
 // data's extent so the triangulation anchors every region. The second
 // result is the covering radius — the distance from the farthest
 // remaining point to its nearest landmark, which the selection has in
-// hand as the score of the point it would pick next.
-func maxminLandmarks(n, k int, dist func(i, j int) float64, rng *rand.Rand) ([]int, float64) {
+// hand as the score of the point it would pick next. The third holds the
+// distance from point p to the c-th landmark at dists[p*k+c].
+func maxminLandmarks(vectors [][]float64, k int, rng *rand.Rand) ([]int, float64, []float64) {
+	n := len(vectors)
 	chosen := make([]int, 0, k)
+	dists := make([]float64, n*k)
 	minDist := make([]float64, n)
 	for i := range minDist {
 		minDist[i] = math.Inf(1)
@@ -150,11 +116,14 @@ func maxminLandmarks(n, k int, dist func(i, j int) float64, rng *rand.Rand) ([]i
 	var cover float64
 	next := rng.Intn(n)
 	for len(chosen) < k {
+		c := len(chosen)
 		chosen = append(chosen, next)
 		best := -1
 		cover = 0
-		for i := 0; i < n; i++ {
-			if d := dist(i, next); d < minDist[i] {
+		for i, v := range vectors {
+			d := Euclidean(v, vectors[next])
+			dists[i*k+c] = d
+			if d < minDist[i] {
 				minDist[i] = d
 			}
 			if minDist[i] > cover {
@@ -166,5 +135,5 @@ func maxminLandmarks(n, k int, dist func(i, j int) float64, rng *rand.Rand) ([]i
 		}
 		next = best
 	}
-	return chosen, cover
+	return chosen, cover, dists
 }

@@ -1,6 +1,7 @@
 package mds
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -25,10 +26,161 @@ func clusteredVectors(rng *rand.Rand, nPerCluster int) [][]float64 {
 	return out
 }
 
+// randomVectors draws n points uniformly from the dim-dimensional unit cube.
+func randomVectors(rng *rand.Rand, n, dim int) [][]float64 {
+	out := make([][]float64, n)
+	for i := range out {
+		out[i] = make([]float64, dim)
+		for d := range out[i] {
+			out[i][d] = rng.Float64()
+		}
+	}
+	return out
+}
+
+// vectorsOf turns 2-D points into the vectors whose Euclidean distances
+// are the points' distances.
+func vectorsOf(points []Coord) [][]float64 {
+	out := make([][]float64, len(points))
+	for i, p := range points {
+		out[i] = []float64{p.X, p.Y}
+	}
+	return out
+}
+
+// referenceLandmarkMDS is LandmarkMDSVectors measuring every distance
+// where it is read: the selection, the landmark submatrix and each
+// triangulation compute their own.
+func referenceLandmarkMDS(vectors [][]float64, k int, opts Options) (*LandmarkResult, error) {
+	n := len(vectors)
+	k = min(max(k, 3), n)
+	dist := func(i, j int) float64 { return Euclidean(vectors[i], vectors[j]) }
+
+	landmarks := make([]int, 0, k)
+	minDist := make([]float64, n)
+	for i := range minDist {
+		minDist[i] = math.Inf(1)
+	}
+	var cover float64
+	next := opts.RNG.Intn(n)
+	for len(landmarks) < k {
+		landmarks = append(landmarks, next)
+		best := -1
+		cover = 0
+		for i := 0; i < n; i++ {
+			if d := dist(i, next); d < minDist[i] {
+				minDist[i] = d
+			}
+			if minDist[i] > cover {
+				best, cover = i, minDist[i]
+			}
+		}
+		if best < 0 {
+			break
+		}
+		next = best
+	}
+
+	sub, err := NewMatrix(len(landmarks))
+	if err != nil {
+		return nil, err
+	}
+	for i, li := range landmarks {
+		for j, lj := range landmarks {
+			if j > i {
+				sub.Set(i, j, dist(li, lj))
+			}
+		}
+	}
+	res, err := SMACOF(sub, opts)
+	if err != nil {
+		return nil, err
+	}
+	config := make([]Coord, n)
+	isLandmark := make(map[int]int, len(landmarks))
+	for i, li := range landmarks {
+		isLandmark[li] = i
+		config[li] = res.Config[i]
+	}
+	d := make([]float64, len(landmarks))
+	for p := 0; p < n; p++ {
+		if _, ok := isLandmark[p]; ok {
+			continue
+		}
+		for i, li := range landmarks {
+			d[i] = dist(p, li)
+		}
+		if config[p], _, err = Place(res.Config, d, PlaceOptions{}); err != nil {
+			return nil, err
+		}
+	}
+	centerConfig(config)
+	return &LandmarkResult{Config: config, Landmarks: landmarks, Stress: res.Stress, CoverRadius: cover}, nil
+}
+
+// TestLandmarkMDSVectorsMatchesReference: reading the selection's
+// distances instead of measuring them again changes no bit of the result.
+func TestLandmarkMDSVectorsMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(20140806))
+	clusters := clusteredVectors(rng, 14)
+	withDuplicates := randomVectors(rng, 40, 8)
+	copy(withDuplicates[20:], withDuplicates[:20])
+	coincident := make([][]float64, 6)
+	for i := range coincident {
+		coincident[i] = []float64{0.3, 0.7}
+	}
+	cases := []struct {
+		name    string
+		vectors [][]float64
+		k       int
+	}{
+		{"clusters k=12", clusters, 12},
+		{"random-8d k=32", randomVectors(rng, 300, 8), 32},
+		{"duplicates k=25", withDuplicates, 25},
+		{"coincident k=4", coincident, 4},
+		{"k=n", clusters, len(clusters)},
+		{"k>n", clusters, len(clusters) + 5},
+		{"n=2 k>n", randomVectors(rng, 2, 8), 5},
+		{"n=1", randomVectors(rng, 1, 8), 3},
+		{"k clamped to 3", randomVectors(rng, 10, 8), 1},
+	}
+	for _, c := range cases {
+		seed := rng.Int63()
+		got, err := LandmarkMDSVectors(c.vectors, c.k, DefaultOptions(rand.New(rand.NewSource(seed))))
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		want, err := referenceLandmarkMDS(c.vectors, c.k, DefaultOptions(rand.New(rand.NewSource(seed))))
+		if err != nil {
+			t.Fatalf("%s: reference: %v", c.name, err)
+		}
+		if fmt.Sprint(got.Landmarks) != fmt.Sprint(want.Landmarks) {
+			t.Errorf("%s: landmarks %v, reference %v", c.name, got.Landmarks, want.Landmarks)
+		}
+		if !sameBits(got.Stress, want.Stress) || !sameBits(got.CoverRadius, want.CoverRadius) {
+			t.Errorf("%s: stress %v cover %v, reference %v cover %v",
+				c.name, got.Stress, got.CoverRadius, want.Stress, want.CoverRadius)
+		}
+		for i := range want.Config {
+			if !sameCoordBits(got.Config[i], want.Config[i]) {
+				t.Errorf("%s: point %d at %v, reference %v", c.name, i, got.Config[i], want.Config[i])
+				break
+			}
+		}
+	}
+}
+
 func TestLandmarkMDSValidation(t *testing.T) {
-	m, _ := NewMatrix(5)
-	if _, err := LandmarkMDS(m, 3, Options{MaxIter: 10}); err == nil {
+	vecs := randomVectors(rand.New(rand.NewSource(1)), 5, 2)
+	if _, err := LandmarkMDSVectors(vecs, 3, Options{MaxIter: 10}); err == nil {
 		t.Error("nil RNG should error")
+	}
+	opts := DefaultOptions(rand.New(rand.NewSource(1)))
+	if _, err := LandmarkMDSVectors(nil, 3, opts); err == nil {
+		t.Error("no vectors should error")
+	}
+	if _, err := LandmarkMDSVectors([][]float64{{0, 1}, {1}}, 3, opts); err == nil {
+		t.Error("mismatched dimensions should error")
 	}
 }
 
@@ -43,16 +195,17 @@ func TestLandmarkMDSMatchesFullOnClusters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lm, err := LandmarkMDS(delta, 12, DefaultOptions(rand.New(rand.NewSource(1))))
+	lm, err := LandmarkMDSVectors(vecs, 12, DefaultOptions(rand.New(rand.NewSource(1))))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(lm.Config) != 90 || len(lm.Landmarks) != 12 {
 		t.Fatalf("config=%d landmarks=%d", len(lm.Config), len(lm.Landmarks))
 	}
-	// Landmark stress stays within a modest factor of full SMACOF stress.
-	if lm.Stress > full.Stress*3+0.05 {
-		t.Errorf("landmark stress %v too far above full %v", lm.Stress, full.Stress)
+	// The full configuration's stress stays within a modest factor of full
+	// SMACOF stress.
+	if stress := Stress1(delta, lm.Config); stress > full.Stress*3+0.05 {
+		t.Errorf("landmark stress %v too far above full %v", stress, full.Stress)
 	}
 	// Cluster separation must survive: max intra vs min inter distance.
 	var maxIntra, minInter float64
@@ -76,8 +229,7 @@ func TestLandmarkMDSMatchesFullOnClusters(t *testing.T) {
 
 func TestLandmarkMDSKEqualsN(t *testing.T) {
 	truth := []Coord{{0, 0}, {1, 0}, {0, 1}, {1, 1}, {2, 0.5}}
-	delta := planted2D(truth)
-	lm, err := LandmarkMDS(delta, 5, DefaultOptions(rand.New(rand.NewSource(2))))
+	lm, err := LandmarkMDSVectors(vectorsOf(truth), 5, DefaultOptions(rand.New(rand.NewSource(2))))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,23 +241,22 @@ func TestLandmarkMDSKEqualsN(t *testing.T) {
 func TestLandmarkMDSTinyK(t *testing.T) {
 	// k below 3 clamps to 3.
 	truth := []Coord{{0, 0}, {3, 0}, {0, 4}, {3, 4}}
-	delta := planted2D(truth)
-	lm, err := LandmarkMDS(delta, 1, DefaultOptions(rand.New(rand.NewSource(3))))
+	lm, err := LandmarkMDSVectors(vectorsOf(truth), 1, DefaultOptions(rand.New(rand.NewSource(3))))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(lm.Landmarks) != 3 {
 		t.Errorf("landmarks = %d, want clamped 3", len(lm.Landmarks))
 	}
-	if lm.Stress > 0.05 {
-		t.Errorf("stress = %v for exact planar data", lm.Stress)
+	if stress := Stress1(planted2D(truth), lm.Config); stress > 0.05 {
+		t.Errorf("stress = %v for exact planar data", stress)
 	}
 }
 
 func TestLandmarkMDSCoincidentPoints(t *testing.T) {
 	// All points identical: selection must terminate, config collapses.
-	m, _ := NewMatrix(6)
-	lm, err := LandmarkMDS(m, 4, DefaultOptions(rand.New(rand.NewSource(4))))
+	vecs := vectorsOf(make([]Coord, 6))
+	lm, err := LandmarkMDSVectors(vecs, 4, DefaultOptions(rand.New(rand.NewSource(4))))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,8 +270,7 @@ func TestLandmarkMDSCoincidentPoints(t *testing.T) {
 func TestMaxminLandmarksSpread(t *testing.T) {
 	// Two far clusters: the first two landmarks must hit both clusters.
 	truth := []Coord{{0, 0}, {0.1, 0}, {0.2, 0}, {10, 0}, {10.1, 0}, {10.2, 0}}
-	delta := planted2D(truth)
-	lms, _ := maxminLandmarks(delta.Size(), 2, delta.At, rand.New(rand.NewSource(5)))
+	lms, _, _ := maxminLandmarks(vectorsOf(truth), 2, rand.New(rand.NewSource(5)))
 	if len(lms) != 2 {
 		t.Fatalf("landmarks = %v", lms)
 	}
@@ -158,58 +308,15 @@ func TestLandmarkCoverRadius(t *testing.T) {
 	}
 }
 
-func TestLandmarkVectorsMatchesMatrixPath(t *testing.T) {
-	// The vector path must be the same algorithm as the matrix path — only
-	// the distance storage differs. Same seed → identical landmarks and
-	// configuration (stress definitions differ by design).
-	rng := rand.New(rand.NewSource(9))
-	vecs := clusteredVectors(rng, 14) // ~40 points
-	delta, err := DistanceMatrix(vecs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	viaMatrix, err := LandmarkMDS(delta, 12, DefaultOptions(rand.New(rand.NewSource(3))))
-	if err != nil {
-		t.Fatal(err)
-	}
-	viaVectors, err := LandmarkMDSVectors(vecs, 12, DefaultOptions(rand.New(rand.NewSource(3))))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(viaMatrix.Landmarks) != len(viaVectors.Landmarks) {
-		t.Fatalf("landmark counts differ: %v vs %v", viaMatrix.Landmarks, viaVectors.Landmarks)
-	}
-	for i, l := range viaMatrix.Landmarks {
-		if viaVectors.Landmarks[i] != l {
-			t.Fatalf("landmark %d differs: %d vs %d", i, l, viaVectors.Landmarks[i])
+// BenchmarkLandmarkMDSVectors is the landmark solve at the size the
+// benchmark harness's fleet template has: 1100 random 8-D vectors, 128
+// landmarks.
+func BenchmarkLandmarkMDSVectors(b *testing.B) {
+	vecs := randomVectors(rand.New(rand.NewSource(1)), 1100, 8)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := LandmarkMDSVectors(vecs, 128, DefaultOptions(rand.New(rand.NewSource(1)))); err != nil {
+			b.Fatal(err)
 		}
 	}
-	for i, p := range viaMatrix.Config {
-		if p.Dist(viaVectors.Config[i]) > 1e-9 {
-			t.Fatalf("config %d differs: %v vs %v", i, p, viaVectors.Config[i])
-		}
-	}
-}
-
-func BenchmarkLandmarkVsFull200(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	vecs := clusteredVectors(rng, 67) // ~200 points
-	delta, err := DistanceMatrix(vecs)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Run("landmark-k20", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := LandmarkMDS(delta, 20, DefaultOptions(rand.New(rand.NewSource(1)))); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("full-smacof", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := SMACOF(delta, DefaultOptions(rand.New(rand.NewSource(1)))); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }

@@ -8,18 +8,28 @@ import (
 	"testing"
 )
 
-// Differential oracles for the placement kernels. referenceSMACOF is the
+// Differential oracles for the embedding kernels. referenceSMACOF is the
 // implementation SMACOF replaced: one pass over the pair distances for the
 // Guttman transform, another for the stress, a fresh configuration per
-// iteration. SMACOF must reproduce it bit for bit — the claim is "same
-// arithmetic, fewer square roots", so no tolerance is accepted.
-// referencePlace is the plain single-point majorizer: Place must reproduce
-// it bit for bit on flat anchor sets, and elsewhere land where it lands
-// when run to convergence.
+// iteration. Given the kernel's distance, SMACOF must reproduce it bit for
+// bit — the claim is "same arithmetic, fewer square roots", so no
+// tolerance is accepted. Given Coord.Dist (math.Hypot), the distance the
+// kernel used before, it bounds how far the cheaper distance drifts.
+// referencePowerIteration and referenceLandmarkMDS (landmark_test.go) are
+// the plain forms of powerIteration and LandmarkMDSVectors, matched bit for
+// bit. referencePlace is the plain single-point majorizer: Place must
+// reproduce it bit for bit on flat anchor sets, and elsewhere land where it
+// lands when run to convergence.
+
+// kernelDist is the pair distance guttmanStep computes.
+func kernelDist(a, b Coord) float64 {
+	dx, dy := a.X-b.X, a.Y-b.Y
+	return math.Sqrt(dx*dx + dy*dy)
+}
 
 // guttman applies one (unweighted) Guttman transform: X' = n⁻¹ B(X) X with
 // b_ij = −δ_ij/d_ij for i≠j (0 when d_ij = 0) and b_ii = −Σ_{j≠i} b_ij.
-func guttman(delta *Matrix, x []Coord) []Coord {
+func guttman(delta *Matrix, x []Coord, dist func(a, b Coord) float64) []Coord {
 	n := len(x)
 	out := make([]Coord, n)
 	invN := 1 / float64(n)
@@ -29,7 +39,7 @@ func guttman(delta *Matrix, x []Coord) []Coord {
 			if j == i {
 				continue
 			}
-			d := x[i].Dist(x[j])
+			d := dist(x[i], x[j])
 			var b float64
 			if d > 0 {
 				b = -delta.At(i, j) / d
@@ -44,7 +54,20 @@ func guttman(delta *Matrix, x []Coord) []Coord {
 	return out
 }
 
-func referenceSMACOF(delta *Matrix, opts Options) *Result {
+// rawStress is the un-normalized SMACOF loss σ(X) = Σ_{i<j} (δ_ij − d_ij(X))².
+func rawStress(delta *Matrix, x []Coord, dist func(a, b Coord) float64) float64 {
+	var s float64
+	n := delta.Size()
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			diff := delta.At(i, j) - dist(x[i], x[j])
+			s += diff * diff
+		}
+	}
+	return s
+}
+
+func referenceSMACOF(delta *Matrix, opts Options, dist func(a, b Coord) float64) *Result {
 	n := delta.Size()
 	var x []Coord
 	if opts.Init != nil {
@@ -55,11 +78,11 @@ func referenceSMACOF(delta *Matrix, opts Options) *Result {
 	if n == 1 {
 		return &Result{Config: []Coord{{}}, Converged: true}
 	}
-	prev := RawStress(delta, x)
+	prev := rawStress(delta, x, dist)
 	res := &Result{}
 	for iter := 1; iter <= opts.MaxIter; iter++ {
-		x = guttman(delta, x)
-		cur := RawStress(delta, x)
+		x = guttman(delta, x, dist)
+		cur := rawStress(delta, x, dist)
 		res.Iterations = iter
 		if prev > 0 && (prev-cur)/prev < opts.Epsilon {
 			res.Converged = true
@@ -78,6 +101,41 @@ func referenceSMACOF(delta *Matrix, opts Options) *Result {
 	res.RawStress = prev
 	res.Stress = Stress1(delta, x)
 	return res
+}
+
+// referencePowerIteration is powerIteration with one dot product per row.
+func referencePowerIteration(m []float64, n int, rng *rand.Rand) ([]float64, float64) {
+	v := make([]float64, n)
+	for i := range v {
+		v[i] = rng.Float64() - 0.5
+	}
+	normalize(v)
+	tmp := make([]float64, n)
+	var lambda float64
+	for iter := 0; iter < 200; iter++ {
+		for i := 0; i < n; i++ {
+			var s float64
+			row := m[i*n : (i+1)*n]
+			for j, vj := range v {
+				s += row[j] * vj
+			}
+			tmp[i] = s
+		}
+		newLambda := dot(v, tmp)
+		nrm := norm(tmp)
+		if nrm < 1e-15 {
+			return v, 0
+		}
+		for i := range v {
+			v[i] = tmp[i] / nrm
+		}
+		if math.Abs(newLambda-lambda) < 1e-12*(1+math.Abs(newLambda)) {
+			lambda = newLambda
+			break
+		}
+		lambda = newLambda
+	}
+	return v, lambda
 }
 
 func referencePointStress(x []Coord, delta []float64, y Coord) float64 {
@@ -196,9 +254,24 @@ var flatOracleConfigs = map[string]bool{
 	"n=1": true, "n=2": true, "collinear": true, "diagonal": true, "coincident": true, "two-coincident": true,
 }
 
-func TestSMACOFMatchesReferenceBitForBit(t *testing.T) {
-	rng := rand.New(rand.NewSource(20140801))
-	for name, truth := range oracleConfigs(rng) {
+// smacofCase is one SMACOF oracle run: a dissimilarity matrix, a start
+// (nil for Torgerson's) and the seed of the run's RNG.
+type smacofCase struct {
+	name  string
+	delta *Matrix
+	init  []Coord
+	seed  int64
+}
+
+// smacofCases are the SMACOF oracle runs: every oracle configuration seen
+// exactly and through noisy dissimilarities, each from Torgerson's start,
+// a random one and a coincident one. Configurations draw from rng in
+// sorted-name order, so every run builds the same cases.
+func smacofCases(rng *rand.Rand) []smacofCase {
+	configs := oracleConfigs(rng)
+	var cases []smacofCase
+	for _, name := range sortedNames(configs) {
+		truth := configs[name]
 		n := len(truth)
 		exact := planted2D(truth)
 		// The same points seen through noisy dissimilarities never reach
@@ -209,36 +282,115 @@ func TestSMACOFMatchesReferenceBitForBit(t *testing.T) {
 				noisy.Set(i, j, exact.At(i, j)*(0.7+0.6*rng.Float64()))
 			}
 		}
-		for kind, delta := range map[string]*Matrix{"exact": exact, "noisy": noisy} {
-			inits := map[string][]Coord{"torgerson": nil, "random": randomConfig(n, rng), "coincident": make([]Coord, n)}
-			for initName, init := range inits {
-				seed := rng.Int63()
-				opts := DefaultOptions(rand.New(rand.NewSource(seed)))
-				opts.Init = init
-				got, err := SMACOF(delta, opts)
-				if err != nil {
-					t.Fatalf("%s/%s/%s: %v", name, kind, initName, err)
-				}
-				opts.RNG = rand.New(rand.NewSource(seed))
-				want := referenceSMACOF(delta, opts)
-				label := fmt.Sprintf("%s/%s/%s", name, kind, initName)
-				if got.Iterations != want.Iterations || got.Converged != want.Converged {
-					t.Errorf("%s: %d iterations (converged %v), reference %d (%v)",
-						label, got.Iterations, got.Converged, want.Iterations, want.Converged)
-				}
-				if !sameBits(got.Stress, want.Stress) || !sameBits(got.RawStress, want.RawStress) {
-					t.Errorf("%s: stress %v raw %v, reference %v raw %v",
-						label, got.Stress, got.RawStress, want.Stress, want.RawStress)
-				}
-				for i := range want.Config {
-					if !sameCoordBits(got.Config[i], want.Config[i]) {
-						t.Errorf("%s: point %d at %v, reference %v", label, i, got.Config[i], want.Config[i])
-						break
-					}
-				}
+		for _, kind := range []struct {
+			name  string
+			delta *Matrix
+		}{{"exact", exact}, {"noisy", noisy}} {
+			starts := []struct {
+				name string
+				init []Coord
+			}{{"torgerson", nil}, {"random", randomConfig(n, rng)}, {"coincident", make([]Coord, n)}}
+			for _, s := range starts {
+				label := fmt.Sprintf("%s/%s/%s", name, kind.name, s.name)
+				cases = append(cases, smacofCase{label, kind.delta, s.init, rng.Int63()})
 			}
 		}
 	}
+	return cases
+}
+
+// run solves c with SMACOF and with referenceSMACOF over dist, each from a
+// fresh RNG on c's seed.
+func (c smacofCase) run(t *testing.T, dist func(a, b Coord) float64) (got, want *Result) {
+	t.Helper()
+	opts := DefaultOptions(rand.New(rand.NewSource(c.seed)))
+	opts.Init = c.init
+	got, err := SMACOF(c.delta, opts)
+	if err != nil {
+		t.Fatalf("%s: %v", c.name, err)
+	}
+	opts.RNG = rand.New(rand.NewSource(c.seed))
+	return got, referenceSMACOF(c.delta, opts, dist)
+}
+
+func TestSMACOFMatchesReferenceBitForBit(t *testing.T) {
+	for _, c := range smacofCases(rand.New(rand.NewSource(20140801))) {
+		got, want := c.run(t, kernelDist)
+		if got.Iterations != want.Iterations || got.Converged != want.Converged {
+			t.Errorf("%s: %d iterations (converged %v), reference %d (%v)",
+				c.name, got.Iterations, got.Converged, want.Iterations, want.Converged)
+		}
+		if !sameBits(got.Stress, want.Stress) || !sameBits(got.RawStress, want.RawStress) {
+			t.Errorf("%s: stress %v raw %v, reference %v raw %v",
+				c.name, got.Stress, got.RawStress, want.Stress, want.RawStress)
+		}
+		for i := range want.Config {
+			if !sameCoordBits(got.Config[i], want.Config[i]) {
+				t.Errorf("%s: point %d at %v, reference %v", c.name, i, got.Config[i], want.Config[i])
+				break
+			}
+		}
+	}
+}
+
+// TestSMACOFDriftFromHypotReference bounds what the kernel's square root
+// changed against the math.Hypot distance it replaced: stress-1 and every
+// coordinate within 1e-12, and the same iteration count wherever the fit
+// is not exact. An exact fit converges on rounding noise (stress-1 ≈
+// 1e-16), where the two distances may stop an iteration apart.
+func TestSMACOFDriftFromHypotReference(t *testing.T) {
+	const tol = 1e-12
+	var worst float64
+	var exactFitCounts int
+	for _, c := range smacofCases(rand.New(rand.NewSource(20140801))) {
+		got, want := c.run(t, Coord.Dist)
+		drift := math.Abs(got.Stress - want.Stress)
+		for i, p := range want.Config {
+			drift = math.Max(drift, math.Max(math.Abs(got.Config[i].X-p.X), math.Abs(got.Config[i].Y-p.Y)))
+		}
+		worst = math.Max(worst, drift)
+		if drift > tol {
+			t.Errorf("%s: drifted %g from the Hypot reference (stress %v, reference %v)", c.name, drift, got.Stress, want.Stress)
+		}
+		switch {
+		case got.Iterations == want.Iterations:
+		case want.Stress < 1e-9:
+			exactFitCounts++
+		default:
+			t.Errorf("%s: %d iterations, Hypot reference %d at stress %v", c.name, got.Iterations, want.Iterations, want.Stress)
+		}
+	}
+	t.Logf("largest drift from the Hypot reference %g; iteration counts differ on %d exact fits", worst, exactFitCounts)
+}
+
+func TestPowerIterationMatchesRowLoop(t *testing.T) {
+	rng := rand.New(rand.NewSource(20140804))
+	check := func(label string, m []float64, n int) {
+		t.Helper()
+		seed := rng.Int63()
+		got, gotL := powerIteration(m, n, rand.New(rand.NewSource(seed)))
+		want, wantL := referencePowerIteration(m, n, rand.New(rand.NewSource(seed)))
+		if !sameBits(gotL, wantL) {
+			t.Errorf("%s: eigenvalue %v, row loop %v", label, gotL, wantL)
+		}
+		for i := range want {
+			if !sameBits(got[i], want[i]) {
+				t.Errorf("%s: v[%d] = %v, row loop %v", label, i, got[i], want[i])
+				break
+			}
+		}
+	}
+	for _, n := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 37, 128, 131} {
+		m := make([]float64, n*n)
+		for i := 0; i < n; i++ {
+			for j := i; j < n; j++ {
+				m[i*n+j] = rng.NormFloat64()
+				m[j*n+i] = m[i*n+j]
+			}
+		}
+		check(fmt.Sprintf("n=%d", n), m, n)
+	}
+	check("zero", make([]float64, 36), 6)
 }
 
 func TestSMACOFLeavesInitUntouched(t *testing.T) {

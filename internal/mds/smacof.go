@@ -34,7 +34,8 @@ type Result struct {
 	Config []Coord
 	// Stress is the final normalized stress-1 value.
 	Stress float64
-	// RawStress is the final un-normalized loss σ(X).
+	// RawStress is the final un-normalized loss σ(X) = Σ_{i<j} (δ_ij −
+	// d_ij(X))², the loss function quoted verbatim in §2.2 of the paper.
 	RawStress float64
 	// Iterations is how many Guttman transforms were applied.
 	Iterations int
@@ -114,6 +115,9 @@ func SMACOF(delta *Matrix, opts Options) (*Result, error) {
 // pair distance once for both. diag is scratch of length n. Every row
 // accumulates its terms in ascending j and the stress sums in (i, j)
 // order, so both results carry the same bits as summing them separately.
+// A distance is math.Sqrt(dx²+dy²), not Coord.Dist: math.Hypot's scaling
+// divide makes it the dearer half of the pair's cost, and the two differ
+// only in the last bits (oracle_test.go bounds the drift).
 func guttmanStep(delta *Matrix, x, out []Coord, diag []float64) float64 {
 	n := len(x)
 	for i := range out {
@@ -125,7 +129,8 @@ func guttmanStep(delta *Matrix, x, out []Coord, diag []float64) float64 {
 		xi := x[i]
 		for j := i + 1; j < n; j++ {
 			xj := x[j]
-			d := xi.Dist(xj)
+			dx, dy := xi.X-xj.X, xi.Y-xj.Y
+			d := math.Sqrt(dx*dx + dy*dy)
 			dij := delta.At(i, j)
 			diff := dij - d
 			stress += diff * diff
@@ -214,7 +219,10 @@ func Torgerson(delta *Matrix, rng *rand.Rand) []Coord {
 }
 
 // powerIteration returns the dominant eigenvector (unit norm) and
-// eigenvalue of the symmetric n×n matrix m (row-major).
+// eigenvalue of the symmetric n×n matrix m (row-major). The product m·v
+// takes four rows per pass over v: four independent add chains instead of
+// one latency-bound chain, each row still summed in ascending j, so every
+// entry has the bits of the plain row loop.
 func powerIteration(m []float64, n int, rng *rand.Rand) ([]float64, float64) {
 	v := make([]float64, n)
 	for i := range v {
@@ -224,13 +232,23 @@ func powerIteration(m []float64, n int, rng *rand.Rand) ([]float64, float64) {
 	tmp := make([]float64, n)
 	var lambda float64
 	for iter := 0; iter < 200; iter++ {
-		for i := 0; i < n; i++ {
-			var s float64
-			row := m[i*n : (i+1)*n]
+		i := 0
+		for ; i+4 <= n; i += 4 {
+			r0 := m[i*n : i*n+n]
+			r1 := m[(i+1)*n : (i+1)*n+n]
+			r2 := m[(i+2)*n : (i+2)*n+n]
+			r3 := m[(i+3)*n : (i+3)*n+n]
+			var s0, s1, s2, s3 float64
 			for j, vj := range v {
-				s += row[j] * vj
+				s0 += r0[j] * vj
+				s1 += r1[j] * vj
+				s2 += r2[j] * vj
+				s3 += r3[j] * vj
 			}
-			tmp[i] = s
+			tmp[i], tmp[i+1], tmp[i+2], tmp[i+3] = s0, s1, s2, s3
+		}
+		for ; i < n; i++ {
+			tmp[i] = dot(m[i*n:i*n+n], v)
 		}
 		newLambda := dot(v, tmp)
 		nrm := norm(tmp)

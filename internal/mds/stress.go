@@ -2,24 +2,6 @@ package mds
 
 import "math"
 
-// RawStress returns the un-normalized SMACOF loss
-//
-//	σ(X) = Σ_{i<j} (δ_ij − d_ij(X))²
-//
-// — the loss function quoted verbatim in §2.2 of the paper.
-func RawStress(delta *Matrix, x []Coord) float64 {
-	var s float64
-	n := delta.Size()
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			d := x[i].Dist(x[j])
-			diff := delta.At(i, j) - d
-			s += diff * diff
-		}
-	}
-	return s
-}
-
 // Stress1 returns Kruskal's normalized stress-1,
 //
 //	sqrt( Σ (δ_ij − d_ij)² / Σ δ_ij² ),
