@@ -27,7 +27,9 @@
 // all sharing the batch cgroups. The lanes' throttle decisions are merged
 // by an actuation arbiter: freeze is a union, graded quotas take the most
 // severe request, and the shared pool is released only when every
-// restricting lane has satisfied its own resume condition.
+// restricting lane has satisfied its own resume condition. -lanes-file
+// declares the same lanes in a file that SIGHUP or POST /v1/reload
+// applies live.
 //
 //	stayawayd -sensitive-cgroup s/vlc -qos-file /run/vlc.qos -app vlc \
 //	          -sensitive-cgroup s/kv  -qos-file /run/kv.qos  -app kv \
@@ -35,40 +37,31 @@
 //
 // The two modes are mutually exclusive. The daemon runs until SIGINT/
 // SIGTERM; on shutdown it releases any throttled batch workloads and
-// prints the final report. A learned map can be exported with
-// -template-out (written atomically: temp file + rename); with several
-// lanes each writes its own app-suffixed file.
+// prints the final report. -template-out exports the learned maps
+// atomically; a single lane given by flags writes the file as named,
+// any other lane an app-suffixed file.
 //
 // With -registry the daemon joins a fleet: each lane pulls the consensus
-// template for its -app at startup (skipping the learning phase when
-// another host has already mapped the application), pushes its own map
-// every -sync-every periods plus once on shutdown, and heartbeats its
-// status. Registry outages never interrupt control — the daemon degrades
-// to its local maps and resyncs when the registry returns. Adding -stream
-// subscribes each lane to the registry's push stream: violations learned
-// on other hosts arrive as template deltas and are merged into the live
-// map at the next period boundary, with automatic fallback to conditional
-// delta polling whenever the stream is down. -fleet-key/-fleet-key-file
-// HMAC-sign every registry request when the registry requires it, and
-// -metrics-file periodically writes the host's sync and stream counters
-// in Prometheus text format (atomically, for a node-exporter textfile
-// collector to pick up).
+// template for its -app at startup, pushes its own map every -sync-every
+// periods plus once on shutdown, and heartbeats its status. Registry
+// outages never interrupt control — the daemon degrades to its local
+// maps and resyncs when the registry returns. -stream merges violations
+// learned on other hosts into the live map at the next period boundary,
+// falling back to delta polling while the stream is down.
+// -fleet-key/-fleet-key-file HMAC-sign every registry request, and
+// -metrics-file writes the host's sync counters in Prometheus text.
 //
 // With -state-dir the daemon becomes crash-safe: every restrictive
 // actuation is recorded in an on-disk ledger BEFORE it is applied, each
-// lane's learned state (template, trajectory histograms, β) is
-// checkpointed atomically every -checkpoint-every periods (one lane:
-// checkpoint.json; several: checkpoint-<app>.json), and at boot the
-// daemon replays the ledger — thawing every cgroup a previous incarnation
-// may have left frozen (after a SIGKILL, an OOM kill, a panic) — then
-// restores the checkpoints so no learning is lost. The arbiter sits above
-// the ledger, so the single write-ahead log covers every lane's merged
-// actuations. -recover-only performs just the ledger replay and exits,
-// for init containers and manual incident response. A watchdog (disable
-// with -watchdog-grace 0) runs beside the control loop and thaws
-// everything if the loop stops beating — e.g. blocked on a hung cgroupfs
-// read. A corrupt ledger or checkpoint is logged and ignored, never
-// fatal: the daemon starts cold rather than refusing to protect.
+// lane's learned state is checkpointed every -checkpoint-every periods
+// (checkpoint.json for a single flag lane, else checkpoint-<app>.json),
+// and at boot the daemon replays the ledger — thawing every cgroup a
+// previous incarnation may have left frozen — then restores the
+// checkpoints. -recover-only performs just the ledger replay and exits.
+// A watchdog (disable with -watchdog-grace 0) thaws everything if the
+// control loop stops beating. A corrupt ledger or checkpoint is logged
+// and ignored, never fatal: the daemon starts cold rather than refusing
+// to protect.
 package main
 
 import (
@@ -76,12 +69,8 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"io"
-	"net"
-	"net/http"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"runtime"
 	"strconv"
 	"strings"
@@ -89,14 +78,10 @@ import (
 	"time"
 
 	"repro/internal/cgroup"
-	"repro/internal/core"
 	"repro/internal/daemon"
 	"repro/internal/fleet"
-	"repro/internal/fsatomic"
 	"repro/internal/metrics"
 	"repro/internal/procenv"
-	"repro/internal/resilience"
-	"repro/internal/stream"
 	"repro/internal/throttle"
 )
 
@@ -275,46 +260,32 @@ func (o options) validate() (cgroupMode bool, err error) {
 	return cgroupMode, errors.Join(errs...)
 }
 
-// laneSpec is one protected application's daemon-side wiring.
-type laneSpec struct {
-	app     string            // fleet-wide application name
-	group   string            // collector group name (= Config.SensitiveID)
-	qos     procenv.QoSSource // the application's QoS report channel
-	sig     *procenv.AppSignals
-	lane    *core.Lane
-	ckPath  string // per-lane checkpoint file ("" = no crash safety)
-	syncer  *fleet.Syncer
-	stream  *fleet.StreamSyncer // non-nil in -stream mode
-	seq     uint64              // EventsSince cursor for the report drain
-	hubSeq  uint64              // independent cursor for the admin SSE publisher
-	def     daemon.LaneDef      // declarative source (lanes-file mode only)
-	periods int
-	viols   int
-	merges  int // fleet deltas folded into the live map
-	merged  core.MergeStats
-}
-
-// The daemon's own admin metrics, distinct from the fleet sync counters
-// written by -metrics-file.
-const (
-	metricReloads   = "stayaway_daemon_reloads_total"
-	helpReloads     = "Hot reload attempts by result."
-	metricPeriods   = "stayaway_daemon_periods_total"
-	helpPeriods     = "Completed control periods."
-	metricLanes     = "stayaway_daemon_lanes"
-	helpLanes       = "Protection lanes currently running."
-	metricLaneLevel = "stayaway_daemon_lane_level"
-	helpLaneLevel   = "Lane's current batch allowance (1 free, 0 frozen)."
-)
-
-// templateOutPath derives the per-lane export path: a single lane writes
-// base verbatim; several write base with "-<app>" before the extension.
-func templateOutPath(base, app string, multi bool) string {
-	if !multi {
-		return base
+// compileLanes turns the lane flags into the daemon's lane set and
+// decides the layout, once: a single lane given by flags keeps the
+// legacy single-tenant layout; several, or a lanes file (decl), use each
+// lane's cgroup path and application name.
+func compileLanes(o options, decl []daemon.LaneDef) daemon.LaneSet {
+	if decl != nil {
+		return daemon.LaneSet{Lanes: decl}
 	}
-	ext := filepath.Ext(base)
-	return strings.TrimSuffix(base, ext) + "-" + app + ext
+	set := daemon.LaneSet{Legacy: len(o.sensCgroups) <= 1}
+	for i := 0; i < max(len(o.sensCgroups), 1); i++ {
+		d := daemon.LaneDef{App: "sensitive"}
+		if i < len(o.sensCgroups) {
+			d.SensitiveCgroup = o.sensCgroups[i]
+			if !set.Legacy {
+				d.App = d.SensitiveCgroup
+			}
+		}
+		if i < len(o.apps) {
+			d.App = o.apps[i]
+		}
+		if i < len(o.qosFiles) {
+			d.QoSFile = o.qosFiles[i]
+		}
+		set.Lanes = append(set.Lanes, d)
+	}
+	return set
 }
 
 func run() error {
@@ -331,7 +302,7 @@ func run() error {
 	cores := flag.Int("cores", runtime.NumCPU(), "host cores (CPU normalization range)")
 	memoryMB := flag.Float64("memory-mb", 4096, "host memory (normalization range)")
 	diskMBps := flag.Float64("disk-mbps", 200, "disk capacity (normalization range)")
-	templateOut := flag.String("template-out", "", "write the learned template JSON on exit (several lanes: app-suffixed files)")
+	templateOut := flag.String("template-out", "", "write the learned template JSON on exit (several lanes or a lanes file: app-suffixed files)")
 	stateDir := flag.String("state-dir", "", "directory for the actuation ledger and learned-state checkpoints (empty = no crash safety)")
 	recoverOnly := flag.Bool("recover-only", false, "replay the ledger (thaw everything a dead daemon left throttled) and exit; requires -state-dir")
 	checkpointEvery := flag.Int("checkpoint-every", 30, "periods between learned-state checkpoints (requires -state-dir)")
@@ -353,7 +324,7 @@ func run() error {
 
 	// Lanes-file mode: the file is the single source of truth for the
 	// protected applications; converting it into the positional lists up
-	// front lets every later stage treat both modes identically.
+	// front lets validation treat both modes identically.
 	var lanesDecl []daemon.LaneDef
 	if *lanesFile != "" {
 		if len(sensCgroups) > 0 || len(qosFiles) > 0 || len(apps) > 0 {
@@ -414,59 +385,12 @@ func run() error {
 		return err
 	}
 
-	// Resolve the lane list: group names, application names and QoS
-	// sources, positionally aligned. A single sensitive keeps the legacy
-	// group name "sensitive" (checkpoint/template schema compatibility);
-	// several use their cgroup paths as group names.
-	var lanes []*laneSpec
+	// The actuator first: recovery replays the ledger against it alone.
+	var cfg daemon.Config
+	var cgActuator *cgroup.Actuator
+	cfs := cgroup.DirFS{Root: *cgroupRoot}
 	if cgroupMode {
-		// Lanes-file mode always uses cgroup-path group names, even with a
-		// single lane: the set can grow live, and a mid-run switch from the
-		// legacy "sensitive" name would break the measurement schema.
-		multi := len(opts.sensCgroups) > 1 || lanesDecl != nil
-		for i, cg := range opts.sensCgroups {
-			spec := &laneSpec{group: "sensitive", app: "sensitive"}
-			if multi {
-				spec.group = cg
-				spec.app = cg
-			}
-			if len(opts.apps) > i {
-				spec.app = opts.apps[i]
-			}
-			if len(opts.qosFiles) > i {
-				spec.qos = procenv.FileQoS{Path: opts.qosFiles[i]}
-			} else {
-				// Recover-only: nothing is learned, a static non-violating
-				// source satisfies the contract.
-				spec.qos = procenv.StaticQoS{Value: 1, Threshold: 0}
-			}
-			lanes = append(lanes, spec)
-		}
-	} else if !opts.recoverOnly {
-		spec := &laneSpec{group: "sensitive", app: "sensitive"}
-		if len(opts.apps) > 0 {
-			spec.app = opts.apps[0]
-		}
-		if len(opts.qosFiles) > 0 {
-			spec.qos = procenv.FileQoS{Path: opts.qosFiles[0]}
-		} else {
-			spec.qos = procenv.StaticQoS{Value: 1, Threshold: 0}
-		}
-		lanes = append(lanes, spec)
-	}
-
-	var (
-		henv      *procenv.HostEnv
-		batchIDs  []string // the IDs the throttle controller actuates
-		act       throttle.Actuator
-		release   func() error // final cleanup: never leave batch work throttled
-		watching  string
-		collector *cgroup.Collector // cgroup mode only; hot reload adds/removes groups
-	)
-
-	if cgroupMode {
-		cfs := cgroup.DirFS{Root: *cgroupRoot}
-		actuator, err := cgroup.NewActuator(cfs, cgroup.ActuatorConfig{
+		cgActuator, err = cgroup.NewActuator(cfs, cgroup.ActuatorConfig{
 			MaxCPU:          float64(*cores),
 			MemoryHighBytes: int64(opts.memoryHighMB * (1 << 20)),
 			Logf: func(format string, args ...any) {
@@ -476,48 +400,11 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		batchIDs = opts.batchCgroups
-		act = actuator
+		cfg.BatchIDs = opts.batchCgroups
+		cfg.Actuator = cgActuator
 		//lint:stayaway-ignore ledgeredactuation final fail-safe thaw deliberately bypasses the ledger: over-thaw is the safe direction and must work even when the ledger cannot be written
-		release = func() error { return actuator.Resume(opts.batchCgroups) }
-		// Recovery replays the ledger against the actuator alone; the
-		// telemetry side is only assembled for a real control run.
-		if !opts.recoverOnly {
-			var groups []cgroup.Group
-			for _, spec := range lanes {
-				groups = append(groups, cgroup.Group{Name: spec.group, Path: spec.group})
-			}
-			if len(lanes) == 1 && lanesDecl == nil {
-				// Legacy layout: group "sensitive" at the configured path.
-				groups[0].Path = opts.sensCgroups[0]
-			}
-			for _, cg := range opts.batchCgroups {
-				groups = append(groups, cgroup.Group{Name: cg, Path: cg})
-			}
-			collector, err = cgroup.NewCollector(cfs, groups)
-			if err != nil {
-				return err
-			}
-			henv, err = procenv.NewHostEnv(collector, opts.batchCgroups)
-			if err != nil {
-				return err
-			}
-			// Probe up front so the operator learns at startup — not mid-
-			// incident — whether actuation will use cgroup controls or degrade
-			// to signals.
-			for _, cg := range opts.batchCgroups {
-				if err := actuator.Probe(cg); err != nil {
-					fmt.Fprintf(os.Stderr, "stayawayd: warning: %v; actuation for %q will degrade to SIGSTOP/SIGCONT\n", err, cg)
-				}
-			}
-			for _, cg := range opts.sensCgroups {
-				if !cfs.Exists(cg) {
-					fmt.Fprintf(os.Stderr, "stayawayd: warning: sensitive cgroup %q not found (yet)\n", cg)
-				}
-			}
-		}
-		watching = fmt.Sprintf("sensitive=%v batch=%v (cgroup mode, root=%s)",
-			opts.sensCgroups, opts.batchCgroups, *cgroupRoot)
+		cfg.Release = func() error { return cgActuator.Resume(opts.batchCgroups) }
+		cfg.Watching = fmt.Sprintf("sensitive=%v batch=%v (cgroup mode, root=%s)", opts.sensCgroups, opts.batchCgroups, *cgroupRoot)
 	} else {
 		// The runtime throttles the logical "batch" VM; the actuator
 		// translates that into signals to the concrete PIDs behind it.
@@ -526,165 +413,60 @@ func run() error {
 		for i, pid := range batch {
 			batchStrings[i] = strconv.Itoa(pid)
 		}
-		batchIDs = []string{"batch"}
-		act = throttle.FuncActuator{
+		cfg.BatchIDs = []string{"batch"}
+		cfg.Actuator = throttle.FuncActuator{
 			//lint:stayaway-ignore ledgeredactuation ID-translation adapter below the ledger: the FuncActuator itself is what gets wrapped in LedgeredActuator
 			PauseFn: func([]string) error { return actuator.Pause(batchStrings) },
 			//lint:stayaway-ignore ledgeredactuation ID-translation adapter below the ledger: the FuncActuator itself is what gets wrapped in LedgeredActuator
 			ResumeFn: func([]string) error { return actuator.Resume(batchStrings) },
 		}
 		//lint:stayaway-ignore ledgeredactuation final fail-safe thaw deliberately bypasses the ledger: over-thaw is the safe direction and must work even when the ledger cannot be written
-		release = func() error { return actuator.Resume(batchStrings) }
-		if !opts.recoverOnly {
-			collector, err := procenv.NewCollector("/proc", 100, []procenv.Group{
-				{Name: "sensitive", PIDs: sens},
-				{Name: "batch", PIDs: batch},
-			})
-			if err != nil {
-				return err
-			}
-			henv, err = procenv.NewHostEnv(collector, []string{"batch"})
-			if err != nil {
-				return err
-			}
+		cfg.Release = func() error { return actuator.Resume(batchStrings) }
+		cfg.Watching = fmt.Sprintf("sensitive=%v batch=%v (PID mode)", sens, batch)
+	}
+	if *recoverOnly {
+		if _, _, err := daemon.RecoverLedger(*stateDir, cfg.Actuator, cfg.BatchIDs); err != nil {
+			return fmt.Errorf("recovery incomplete: %w", err)
 		}
-		watching = fmt.Sprintf("sensitive=%v batch=%v (PID mode)", sens, batch)
+		fmt.Println("stayawayd: recovery complete")
+		return nil
 	}
 
-	// Crash safety: replay the previous incarnation's actuation ledger
-	// before anything else — if a dead daemon left cgroups frozen, thawing
-	// them outranks every other startup step. The ledger is an upper bound
-	// on applied throttling (restrictions are recorded before actuation,
-	// releases after), so replay can only over-thaw, which is idempotent.
-	// One ledger serves every lane: the arbiter merges per-lane decisions
-	// BEFORE they reach the ledgered actuator, so the write-ahead log holds
-	// exactly the effective actuations on the shared pool.
-	var ledger *resilience.Ledger
-	var ledgerRecovered int
-	var ledgerRecoveryErr string
-	if *stateDir != "" {
-		if err := os.MkdirAll(*stateDir, 0o755); err != nil {
-			return fmt.Errorf("-state-dir: %v", err)
-		}
-		for _, spec := range lanes {
-			spec.ckPath = resilience.LaneCheckpointPath(*stateDir, spec.app)
-		}
-		if len(lanes) == 1 && lanesDecl == nil {
-			// Legacy single-tenant layout.
-			lanes[0].ckPath = filepath.Join(*stateDir, "checkpoint.json")
-		}
-		ledger, err = resilience.OpenLedger(filepath.Join(*stateDir, "ledger.json"))
-		if err != nil {
-			// A corrupt ledger cannot tell us what was throttled, so assume
-			// the worst: recovery below thaws every configured batch ID.
-			fmt.Fprintf(os.Stderr, "stayawayd: ledger unreadable, assuming everything throttled: %v\n", err)
-		}
-		thawed, err := resilience.Recover(ledger, act, batchIDs)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "stayawayd: ledger recovery: %v\n", err)
-			ledgerRecoveryErr = err.Error()
-		}
-		ledgerRecovered = len(thawed)
-		if len(thawed) > 0 {
-			fmt.Printf("stayawayd: recovered: thawed %v\n", thawed)
-		}
-		if *recoverOnly {
-			if err != nil {
-				return fmt.Errorf("recovery incomplete: %w", err)
+	cfg.Lanes = compileLanes(opts, lanesDecl)
+	var sampler procenv.Sampler
+	if cgroupMode {
+		// Probe up front so the operator learns at startup — not mid-
+		// incident — whether actuation will use cgroup controls or degrade
+		// to signals.
+		for _, cg := range opts.batchCgroups {
+			if err := cgActuator.Probe(cg); err != nil {
+				fmt.Fprintf(os.Stderr, "stayawayd: warning: %v; actuation for %q will degrade to SIGSTOP/SIGCONT\n", err, cg)
 			}
-			fmt.Println("stayawayd: recovery complete")
-			return nil
 		}
-		// From here on, every restrictive actuation hits the ledger first.
-		la, err := resilience.NewLedgeredActuator(act, ledger)
-		if err != nil {
+		var groups []cgroup.Group
+		for _, d := range cfg.Lanes.Lanes {
+			groups = append(groups, cgroup.Group{Name: cfg.Lanes.Group(d), Path: d.SensitiveCgroup})
+			if !cfs.Exists(d.SensitiveCgroup) {
+				fmt.Fprintf(os.Stderr, "stayawayd: warning: sensitive cgroup %q not found (yet)\n", d.SensitiveCgroup)
+			}
+		}
+		for _, cg := range opts.batchCgroups {
+			groups = append(groups, cgroup.Group{Name: cg, Path: cg})
+		}
+		if cfg.Groups, err = cgroup.NewCollector(cfs, groups); err != nil {
 			return err
 		}
-		act = la
-		innerRelease := release
-		release = func() error {
-			// Recover rather than plain Resume: it also clears graded
-			// quotas and resets the ledger so the next boot is clean.
-			if _, err := resilience.Recover(ledger, act, batchIDs); err != nil {
-				return err
-			}
-			return innerRelease()
-		}
-	}
-
-	// Assemble the host runtime: one lane per protected application over
-	// the shared batch pool, decisions merged by the actuation arbiter.
-	host, err := core.NewHost(henv, act)
-	if err != nil {
+		sampler = cfg.Groups
+	} else if sampler, err = procenv.NewCollector("/proc", 100, []procenv.Group{
+		{Name: cfg.Lanes.Group(cfg.Lanes.Lanes[0]), PIDs: sens},
+		{Name: "batch", PIDs: batch},
+	}); err != nil {
 		return err
 	}
-	ranges := metrics.DefaultRanges(*cores, *memoryMB, *diskMBps, 1000)
-	seed := time.Now().UnixNano()
-	laneSeq := 0
-	if *eventWindow == -1 {
-		fmt.Fprintln(os.Stderr, "stayawayd: warning: -event-window -1 retains every period event; memory grows unboundedly with uptime")
-	}
-	// laneConfig builds one lane's pipeline config; shared between the
-	// startup loop and hot-reload adds so both produce identical lanes.
-	laneConfig := func(group, app string) core.Config {
-		cfg := core.DefaultConfig(group, batchIDs, ranges)
-		cfg.Seed = seed + int64(laneSeq)
-		laneSeq++
-		cfg.SensitiveApp = app
-		cfg.EventWindow = *eventWindow
-		if *graded {
-			cfg.Throttle.Policy = throttle.PolicyGraded
-		}
-		return cfg
-	}
-	for _, spec := range lanes {
-		if spec.sig, err = henv.Signals(spec.group, spec.qos); err != nil {
-			return err
-		}
-		if spec.lane, err = host.AddLane(laneConfig(spec.group, spec.app), spec.sig); err != nil {
-			return err
-		}
-	}
-	hostRelease := release
-	release = func() error {
-		// The arbiter's lane desires must be cleared alongside the
-		// downstream thaw, or surviving controllers would re-merge stale
-		// restrictions on the next period.
-		err := host.Release()
-		if rerr := hostRelease(); err == nil {
-			err = rerr
-		}
+	if cfg.Env, err = procenv.NewHostEnv(sampler, cfg.BatchIDs); err != nil {
 		return err
 	}
 
-	// Restore each lane's learned-state checkpoint before the first
-	// period. A missing checkpoint is a cold start; a corrupt or
-	// incompatible one is logged and ignored — losing learned state is
-	// recoverable, refusing to start is not.
-	restored := make(map[string]bool)
-	for _, spec := range lanes {
-		if spec.ckPath == "" {
-			continue
-		}
-		switch ck, err := resilience.LoadCheckpoint(spec.ckPath); {
-		case err != nil:
-			fmt.Fprintf(os.Stderr, "stayawayd: %s: checkpoint unreadable, starting cold: %v\n", spec.app, err)
-		case ck != nil:
-			if err := spec.lane.RestoreCheckpoint(ck); err != nil {
-				fmt.Fprintf(os.Stderr, "stayawayd: %s: checkpoint rejected, starting cold: %v\n", spec.app, err)
-			} else {
-				restored[spec.app] = true
-				fmt.Printf("stayawayd: %s: restored checkpoint (%d periods of learning, %d states)\n",
-					spec.app, ck.Periods, len(ck.Template.States))
-			}
-		}
-	}
-
-	// Fleet wiring: each lane pulls its application's consensus map before
-	// the first period; a cold or unreachable registry never blocks
-	// startup.
-	var hostSync *fleet.HostSyncer
-	var streamCancel context.CancelFunc
 	if *registryURL != "" {
 		client, err := fleet.NewClient(fleet.ClientConfig{BaseURL: *registryURL, Key: fleetKeyBytes})
 		if err != nil {
@@ -696,629 +478,23 @@ func run() error {
 				hostName = "unknown-host"
 			}
 		}
-		hostSync = fleet.NewHostSyncer(client, hostName)
-		for _, spec := range lanes {
-			spec.syncer = hostSync.Lane(spec.app)
-			if restored[spec.app] {
-				// The local checkpoint is this host's own learned map;
-				// adopting the fleet template would discard it. Keep the
-				// local state and let the periodic pushes reconcile.
-				fmt.Printf("stayawayd: %s: checkpoint restored; skipping fleet bootstrap\n", spec.app)
-				continue
-			}
-			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-			tpl, rev, err := spec.syncer.Bootstrap(ctx)
-			cancel()
-			switch {
-			case err != nil:
-				fmt.Fprintf(os.Stderr, "stayawayd: %s: registry bootstrap failed, starting cold: %v\n", spec.app, err)
-			case tpl == nil:
-				fmt.Printf("stayawayd: registry has no template for %q yet, learning from scratch\n", spec.app)
-			default:
-				if err := spec.lane.ImportTemplate(tpl); err != nil {
-					fmt.Fprintf(os.Stderr, "stayawayd: %s: fleet template rejected, starting cold: %v\n", spec.app, err)
-				} else {
-					fmt.Printf("stayawayd: bootstrapped %q from fleet revision %d (%d states)\n",
-						spec.app, rev, len(tpl.States))
-				}
-			}
-		}
-		// Streaming mode: each lane follows the registry's push stream so a
-		// violation learned on another host reaches this one within a
-		// control period — instead of at -sync-every cadence. The stream
-		// goroutines only STASH deltas; the loop below takes and merges them
-		// at period boundaries, so the live map is never touched mid-period.
-		if *streamMode {
-			var streamCtx context.Context
-			streamCtx, streamCancel = context.WithCancel(context.Background())
-			defer streamCancel()
-			for _, spec := range lanes {
-				ss, err := hostSync.StartStream(streamCtx, spec.app, fleet.StreamSyncerConfig{
-					Logf: func(format string, args ...any) {
-						if *verbose {
-							fmt.Fprintf(os.Stderr, "stayawayd: "+format+"\n", args...)
-						}
-					},
-				})
-				if err != nil {
-					return err
-				}
-				// The bootstrap pull (if any) already applied this revision;
-				// the stream must not re-deliver it.
-				ss.MarkApplied(spec.syncer.LastRevision())
-				spec.stream = ss
-			}
-			fmt.Printf("stayawayd: streaming fleet updates for %d lane(s)\n", len(lanes))
-		}
+		cfg.Fleet = fleet.NewHostSyncer(client, hostName)
 	}
 
-	// Live operations: the status board the loop publishes to, the admin
-	// event hub, the two-phase reloader and the lanes-file watcher.
-	board := daemon.NewBoard()
-	board.Update(func(s *daemon.Status) {
-		s.LedgerRecovered = ledgerRecovered
-		s.LedgerRecoveryError = ledgerRecoveryErr
-	})
-	var (
-		hub          *stream.Hub
-		adminMetrics *stream.MetricSet
-		adminSrv     *http.Server
-		reloader     *daemon.Reloader
-		lanesWatch   *daemon.Watcher
-	)
-	if *lanesFile != "" {
-		reloader = daemon.NewReloader(*lanesFile, lanesDecl, opts.batchCgroups)
-		for i := range lanes {
-			lanes[i].def = lanesDecl[i]
-		}
-		if *reloadWatch {
-			lanesWatch = daemon.NewWatcher(*lanesFile)
-		}
-	}
-	if *adminAddr != "" {
-		hub = stream.NewHub(stream.HubConfig{Epoch: time.Now().UnixNano()})
-		defer hub.Close()
-		adminMetrics = stream.NewMetricSet()
-	}
-	// queueReload is phase one of a hot reload, shared by SIGHUP, the
-	// watcher and POST /v1/reload: validate and stage, or reject with the
-	// running set untouched.
-	queueReload := func(source string) error {
-		err := reloader.Queue()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "stayawayd: reload (%s) rejected, keeping running config: %v\n", source, err)
-			if adminMetrics != nil {
-				adminMetrics.Counter(metricReloads, helpReloads, "result", "rejected").Add(1)
-			}
-			if hub != nil {
-				hub.Publish(daemon.ReloadEvent(daemon.ReloadOutcome{Rejected: err.Error()}))
-			}
-			return err
-		}
-		fmt.Printf("stayawayd: reload (%s) validated, applying at next period boundary\n", source)
-		return nil
-	}
-	if *adminAddr != "" {
-		var reloadHook func() error
-		if reloader != nil {
-			reloadHook = func() error { return queueReload("POST /v1/reload") }
-		}
-		admin, err := daemon.NewAdmin(daemon.AdminConfig{
-			Board:   board,
-			Hub:     hub,
-			Metrics: adminMetrics,
-			Reload:  reloadHook,
-			Key:     fleetKeyBytes,
-			Logf: func(format string, args ...any) {
-				if *verbose {
-					fmt.Fprintf(os.Stderr, "stayawayd: "+format+"\n", args...)
-				}
-			},
-		})
-		if err != nil {
-			return err
-		}
-		ln, err := net.Listen("tcp", *adminAddr)
-		if err != nil {
-			return fmt.Errorf("-admin-addr: %w", err)
-		}
-		adminSrv = &http.Server{Handler: admin.Handler()}
-		go func() {
-			if err := adminSrv.Serve(ln); err != nil && err != http.ErrServerClosed {
-				fmt.Fprintf(os.Stderr, "stayawayd: admin server: %v\n", err)
-			}
-		}()
-		fmt.Printf("stayawayd: admin surface on http://%s\n", ln.Addr())
-	}
-
-	stop := make(chan os.Signal, 1)
-	signal.Notify(stop, syscall.SIGINT, syscall.SIGTERM)
+	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
+	defer stop()
 	hup := make(chan os.Signal, 1)
 	signal.Notify(hup, syscall.SIGHUP)
 	ticker := time.NewTicker(*period)
 	defer ticker.Stop()
 
-	if *syncEvery <= 0 {
-		*syncEvery = 30
-	}
-	multi := len(lanes) > 1
-	sync := func(spec *laneSpec, throttled bool) {
-		if spec.syncer == nil {
-			return
-		}
-		if spec.lane.Space().Len() > 0 {
-			if err := spec.syncer.PushTemplate(spec.lane.ExportTemplate(spec.app)); err != nil {
-				fmt.Fprintln(os.Stderr, "stayawayd: registry push failed (degraded, continuing):", err)
-			}
-		}
-		if err := spec.syncer.Heartbeat(fleet.Heartbeat{
-			Periods: spec.periods, Violations: spec.viols, Throttled: throttled,
-		}); err == nil {
-			if degraded, _ := spec.syncer.Degraded(); !degraded && *verbose {
-				fmt.Printf("stayawayd: %s: registry sync ok, revision %d\n", spec.app, spec.syncer.LastRevision())
-			}
-		}
-	}
-
-	// The adopt step runs at the top of each tick — between periods — and
-	// folds any delta the stream goroutines have stashed into the lane's
-	// live map. A rejected merge (schema drift, corrupt patch) is logged
-	// and skipped: the revision cursor stays put, so the next poll
-	// re-fetches an authoritative delta rather than silently losing fleet
-	// state.
-	adopt := func() {
-		for _, spec := range lanes {
-			if spec.stream == nil {
-				continue
-			}
-			d := spec.stream.TakeUpdate()
-			if d == nil {
-				continue
-			}
-			stats, err := spec.lane.MergeTemplate(d.Patch)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "stayawayd: %s: fleet delta rejected: %v\n", spec.app, err)
-				continue
-			}
-			spec.stream.MarkApplied(d.ToRevision)
-			spec.merges++
-			spec.merged.Added += stats.Added
-			spec.merged.Upgraded += stats.Upgraded
-			spec.merged.Matched += stats.Matched
-			if *verbose || stats.Upgraded > 0 || stats.Added > 0 {
-				fmt.Printf("stayawayd: %s: merged fleet revision %d (+%d states, %d upgraded, %d matched)\n",
-					spec.app, d.ToRevision, stats.Added, stats.Upgraded, stats.Matched)
-			}
-		}
-	}
-
-	writeMetrics := func() {
-		if *metricsFile == "" || hostSync == nil {
-			return
-		}
-		if err := fsatomic.WriteFileFunc(*metricsFile, 0o644, hostSync.WriteMetrics); err != nil {
-			fmt.Fprintf(os.Stderr, "stayawayd: metrics-file: %v\n", err)
-		}
-	}
-
-	// Hot-reload lane operations. All three run on the loop goroutine at a
-	// period boundary — the only place the host runtime allows mutation.
-	addLane := func(d daemon.LaneDef) (*laneSpec, error) {
-		group := d.SensitiveCgroup
-		if err := collector.AddGroup(cgroup.Group{Name: group, Path: group}); err != nil {
-			return nil, err
-		}
-		qos := procenv.FileQoS{Path: d.QoSFile}
-		sig, err := henv.Signals(group, qos)
-		if err != nil {
-			collector.RemoveGroup(group)
-			return nil, err
-		}
-		lane, err := host.AddLane(laneConfig(group, d.Name()), sig)
-		if err != nil {
-			collector.RemoveGroup(group)
-			return nil, err
-		}
-		spec := &laneSpec{app: d.Name(), group: group, qos: qos, sig: sig, lane: lane, def: d}
-		if *stateDir != "" {
-			spec.ckPath = resilience.LaneCheckpointPath(*stateDir, spec.app)
-			// A lane removed earlier and re-added resumes its learning.
-			if ck, err := resilience.LoadCheckpoint(spec.ckPath); err == nil && ck != nil {
-				if err := lane.RestoreCheckpoint(ck); err == nil {
-					fmt.Printf("stayawayd: %s: restored checkpoint (%d periods of learning)\n", spec.app, ck.Periods)
-				}
-			}
-		}
-		if hostSync != nil {
-			spec.syncer = hostSync.Lane(spec.app)
-		}
-		lanes = append(lanes, spec)
-		return spec, nil
-	}
-	changeLane := func(spec *laneSpec, d daemon.LaneDef) (bool, error) {
-		group := d.SensitiveCgroup
-		if group != spec.group {
-			// The sensitive cgroup moved: register the new telemetry group
-			// first so the replacement lane's first collection sees its
-			// real source.
-			if err := collector.AddGroup(cgroup.Group{Name: group, Path: group}); err != nil {
-				return false, err
-			}
-		}
-		qos := procenv.FileQoS{Path: d.QoSFile}
-		sig, err := henv.Signals(group, qos)
-		if err == nil {
-			var lane *core.Lane
-			var carried bool
-			lane, carried, err = host.ReconfigureLane(laneConfig(group, d.Name()), sig)
-			if err == nil {
-				if group != spec.group {
-					collector.RemoveGroup(spec.group)
-				}
-				spec.group, spec.qos, spec.sig, spec.lane, spec.def = group, qos, sig, lane, d
-				// The replacement lane's event ring restarts at sequence 0.
-				spec.seq, spec.hubSeq = 0, 0
-				return carried, nil
-			}
-		}
-		if group != spec.group {
-			collector.RemoveGroup(group) // roll back; the old lane runs on
-		}
-		return false, err
-	}
-	removeLane := func(spec *laneSpec) error {
-		lane, err := host.RemoveLane(spec.app)
-		// The lane is out of the arbiter's merge even on error (removal is
-		// fail-safe); what follows is best-effort bookkeeping.
-		if lane != nil && lane.Space().Len() > 0 {
-			if spec.ckPath != "" {
-				if ckErr := resilience.SaveCheckpoint(spec.ckPath, lane.Checkpoint()); ckErr != nil {
-					fmt.Fprintf(os.Stderr, "stayawayd: %s: departing checkpoint: %v\n", spec.app, ckErr)
-				}
-			}
-			if spec.syncer != nil {
-				// Share the freshest map before the lane disappears.
-				if pushErr := spec.syncer.PushTemplate(lane.ExportTemplate(spec.app)); pushErr != nil {
-					fmt.Fprintf(os.Stderr, "stayawayd: %s: departing push: %v\n", spec.app, pushErr)
-				}
-			}
-		}
-		collector.RemoveGroup(spec.group)
-		for i, cur := range lanes {
-			if cur == spec {
-				lanes = append(lanes[:i], lanes[i+1:]...)
-				break
-			}
-		}
-		return err
-	}
-
-	// applyReload is phase two of a hot reload, run at a period boundary:
-	// take the staged config, diff it against what is running, apply adds
-	// before changes before removes — the shared pool is never left less
-	// protected than both configs agree on — and commit the set that is
-	// actually running afterwards, so a failed add surfaces as drift in
-	// ReloadStatus instead of being papered over.
-	applyReload := func() {
-		if reloader == nil {
-			return
-		}
-		desired, gen, ok := reloader.TakePending()
-		if !ok {
-			return
-		}
-		diff := reloader.Diff(desired)
-		if diff.Empty() {
-			reloader.Commit(gen, desired)
-			return
-		}
-		fmt.Printf("stayawayd: reload gen %d: applying %s\n", gen, diff)
-		byApp := make(map[string]*laneSpec, len(lanes))
-		for _, spec := range lanes {
-			byApp[spec.app] = spec
-		}
-		publishLane := func(c daemon.LaneChange) {
-			if hub != nil {
-				hub.Publish(daemon.LaneEvent(c))
-			}
-		}
-		for _, d := range diff.Add {
-			spec, err := addLane(d)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "stayawayd: reload: add %s: %v\n", d.Name(), err)
-				publishLane(daemon.LaneChange{Op: "add", App: d.Name(), Error: err.Error()})
-				continue
-			}
-			byApp[spec.app] = spec
-			fmt.Printf("stayawayd: reload: added lane %s (cgroup %s)\n", spec.app, d.SensitiveCgroup)
-			publishLane(daemon.LaneChange{Op: "add", App: spec.app})
-		}
-		for _, d := range diff.Change {
-			spec := byApp[d.Name()]
-			if spec == nil {
-				continue
-			}
-			carried, err := changeLane(spec, d)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "stayawayd: reload: change %s rejected, lane keeps its old config: %v\n", d.Name(), err)
-				publishLane(daemon.LaneChange{Op: "change", App: d.Name(), Error: err.Error()})
-				continue
-			}
-			fmt.Printf("stayawayd: reload: reconfigured lane %s (state carried: %v)\n", spec.app, carried)
-			publishLane(daemon.LaneChange{Op: "change", App: spec.app, Carried: carried})
-		}
-		for _, name := range diff.Remove {
-			spec := byApp[name]
-			if spec == nil {
-				continue
-			}
-			errStr := ""
-			if err := removeLane(spec); err != nil {
-				fmt.Fprintf(os.Stderr, "stayawayd: reload: remove %s: %v\n", name, err)
-				errStr = err.Error()
-			} else {
-				fmt.Printf("stayawayd: reload: removed lane %s\n", name)
-			}
-			delete(byApp, name)
-			publishLane(daemon.LaneChange{Op: "remove", App: name, Error: errStr})
-		}
-		applied := make([]daemon.LaneDef, 0, len(lanes))
-		for _, spec := range lanes {
-			applied = append(applied, spec.def)
-		}
-		reloader.Commit(gen, applied)
-		multi = len(lanes) > 1
-		if adminMetrics != nil {
-			adminMetrics.Counter(metricReloads, helpReloads, "result", "applied").Add(1)
-		}
-		if hub != nil {
-			hub.Publish(daemon.ReloadEvent(daemon.ReloadOutcome{Generation: gen, Diff: diff.String()}))
-		}
-	}
-
-	// The watchdog runs beside the loop: if periods stop completing (a
-	// hung cgroupfs read blocks the collector, say), it thaws everything
-	// from its own goroutine — the stalled loop cannot.
-	var wd *resilience.Watchdog
-	if *watchdogGrace > 0 {
-		wd, err = resilience.NewWatchdog(resilience.WatchdogConfig{
-			Period: *period,
-			Grace:  *watchdogGrace,
-			OnStall: func(since time.Duration) {
-				fmt.Fprintf(os.Stderr, "stayawayd: watchdog: no completed period for %v, thawing everything\n", since)
-				// Flip readiness from here: the stalled loop cannot
-				// publish its own bad news.
-				board.Update(func(s *daemon.Status) {
-					s.WatchdogStalled = true
-					s.WatchdogStalls++
-				})
-				if err := release(); err != nil {
-					fmt.Fprintln(os.Stderr, "stayawayd: watchdog release:", err)
-				}
-			},
-		})
-		if err != nil {
-			return err
-		}
-		wdCtx, wdCancel := context.WithCancel(context.Background())
-		defer wdCancel()
-		go wd.Run(wdCtx)
-	}
-
-	if *checkpointEvery <= 0 {
-		*checkpointEvery = 30
-	}
-	checkpoint := func() {
-		for _, spec := range lanes {
-			if spec.ckPath == "" || spec.lane.Space().Len() == 0 {
-				continue
-			}
-			if err := resilience.SaveCheckpoint(spec.ckPath, spec.lane.Checkpoint()); err != nil {
-				fmt.Fprintf(os.Stderr, "stayawayd: %s: checkpoint: %v\n", spec.app, err)
-			}
-		}
-	}
-
-	// The report drain: each lane's events come out of its bounded ring
-	// buffer via the since-sequence cursor, so a slow or bursty reporting
-	// path can never make the daemon's memory grow with uptime.
-	drain := func() {
-		for _, spec := range lanes {
-			var evs []core.Event
-			evs, spec.seq = spec.lane.EventsSince(spec.seq)
-			for _, ev := range evs {
-				spec.periods++
-				if ev.Violation {
-					spec.viols++
-				}
-				if *verbose || ev.Violation || ev.Action != throttle.ActionNone {
-					if multi {
-						fmt.Printf("[%s] %s\n", spec.app, ev)
-					} else {
-						fmt.Println(ev)
-					}
-				}
-			}
-		}
-	}
-
-	fmt.Printf("stayawayd: monitoring %s every %v (%d lane(s))\n", watching, *period, len(lanes))
-	// The loop body runs under a recover barrier so that even a panic in
-	// the runtime falls through to the release below — a crashing daemon
-	// must never strand batch workloads frozen. (SIGKILL still can; that
-	// is what the ledger replay at next boot is for.)
-	var periods int
-	// publish pushes the period's outcome to the admin surface: the status
-	// board for /readyz, the hub for /v1/events subscribers (via each
-	// lane's independent hubSeq cursor, so the report drain above and the
-	// SSE feed never fight over one cursor), and the admin metric set.
-	publish := func() {
-		if hub != nil {
-			for _, spec := range lanes {
-				var evs []core.Event
-				evs, spec.hubSeq = spec.lane.EventsSince(spec.hubSeq)
-				for _, ev := range evs {
-					hub.Publish(daemon.PeriodEvent(ev))
-				}
-			}
-		}
-		health := host.Health()
-		var wdStalled bool
-		var wdStalls int
-		if wd != nil {
-			wdStalled, wdStalls, _, _ = wd.Status()
-		}
-		var rs daemon.ReloadStatus
-		if reloader != nil {
-			rs = reloader.Status()
-		}
-		board.Update(func(s *daemon.Status) {
-			s.Ready = true
-			s.Periods = periods
-			s.Lanes = health
-			s.WatchdogStalled = wdStalled
-			s.WatchdogStalls = wdStalls
-			s.Reload = rs
-		})
-		if adminMetrics != nil {
-			adminMetrics.Counter(metricPeriods, helpPeriods).Add(1)
-			adminMetrics.Gauge(metricLanes, helpLanes).Set(float64(len(lanes)))
-			for _, lh := range health {
-				adminMetrics.Gauge(metricLaneLevel, helpLaneLevel, "app", lh.App).Set(lh.Level)
-			}
-		}
-	}
-	loopErr := func() (err error) {
-		defer func() {
-			if r := recover(); r != nil {
-				err = fmt.Errorf("control loop panic: %v", r)
-			}
-		}()
-	loop:
-		for {
-			select {
-			case <-stop:
-				break loop
-			case <-hup:
-				if reloader == nil {
-					fmt.Fprintln(os.Stderr, "stayawayd: SIGHUP ignored: hot reload needs -lanes-file")
-					continue
-				}
-				queueReload("SIGHUP")
-			case <-ticker.C:
-				if lanesWatch != nil && lanesWatch.Changed() {
-					queueReload("watch")
-				}
-				applyReload()
-				adopt()
-				evs, err := host.Period()
-				if err != nil {
-					fmt.Fprintln(os.Stderr, "stayawayd: period:", err)
-					continue
-				}
-				if wd != nil {
-					wd.Beat()
-				}
-				periods++
-				drain()
-				publish()
-				if periods%*syncEvery == 0 {
-					for i, spec := range lanes {
-						sync(spec, evs[i].Throttled)
-					}
-					writeMetrics()
-				}
-				if periods%*checkpointEvery == 0 {
-					checkpoint()
-				}
-				anySensitive := false
-				for _, spec := range lanes {
-					if spec.sig.SensitiveRunning() {
-						anySensitive = true
-						break
-					}
-				}
-				if !henv.BatchActive() && !anySensitive {
-					fmt.Println("stayawayd: all monitored workloads exited")
-					break loop
-				}
-			}
-		}
-		return nil
-	}()
-
-	// Graceful drain: take every lane out through the arbiter's merge —
-	// the same fail-safe path a live removal uses — so each departing
-	// batch restriction is released exactly once and the final release
-	// below is a backstop, not the primary thaw. Skipped after a panic:
-	// mid-period invariants cannot be trusted, the raw thaw handles it.
-	if loopErr == nil {
-		for _, spec := range lanes {
-			if _, err := host.RemoveLane(spec.app); err != nil {
-				fmt.Fprintf(os.Stderr, "stayawayd: drain %s: %v\n", spec.app, err)
-			}
-		}
-	}
-	// Never leave batch workloads throttled on exit — including after a
-	// panic absorbed above.
-	if err := release(); err != nil {
-		fmt.Fprintln(os.Stderr, "stayawayd: final release:", err)
-	}
-	board.Update(func(s *daemon.Status) { s.Ready = false })
-	if adminSrv != nil {
-		// Closing the hub first unblocks SSE handlers so Shutdown can
-		// finish within its grace window.
-		hub.Close()
-		ctx, cancel := context.WithTimeout(context.Background(), time.Second)
-		if err := adminSrv.Shutdown(ctx); err != nil {
-			adminSrv.Close()
-		}
-		cancel()
-	}
-	if streamCancel != nil {
-		streamCancel()
-		hostSync.Wait()
-	}
-	if loopErr != nil {
-		// No final checkpoint after a panic: mid-period invariants cannot
-		// be trusted, and a corrupt checkpoint is worse than a stale one.
-		return loopErr
-	}
-	checkpoint()
-	drain()
-	for _, spec := range lanes {
-		// Share the freshest map with the fleet before exiting.
-		sync(spec, false)
-		if multi {
-			fmt.Printf("--- %s ---\n", spec.app)
-		}
-		fmt.Println(spec.lane.Report())
-		if spec.stream != nil {
-			st := spec.stream.Stats()
-			fmt.Printf("fleet stream: %d merges (%d states adopted, %d upgraded, %d matched), "+
-				"%d events, %d reconnects, %d fallback polls\n",
-				spec.merges, spec.merged.Added, spec.merged.Upgraded, spec.merged.Matched,
-				st.Events, st.Reconnects, st.Polls)
-		}
-	}
-	writeMetrics()
-	if hostSync != nil {
-		for app, err := range hostSync.Degraded() {
-			fmt.Fprintf(os.Stderr, "stayawayd: %s: exiting out of sync with the registry: %v\n", app, err)
-		}
-	}
-	if *templateOut != "" {
-		for _, spec := range lanes {
-			path := templateOutPath(*templateOut, spec.app, multi)
-			err := fsatomic.WriteFileFunc(path, 0o644, func(w io.Writer) error {
-				_, err := spec.lane.ExportTemplate(spec.app).WriteTo(w)
-				return err
-			})
-			if err != nil {
-				return err
-			}
-			fmt.Printf("template written to %s\n", path)
-		}
-	}
-	return nil
+	cfg.LanesFile, cfg.ReloadWatch = *lanesFile, *reloadWatch
+	cfg.Ranges = metrics.DefaultRanges(*cores, *memoryMB, *diskMBps, 1000)
+	cfg.Graded, cfg.EventWindow, cfg.Seed = *graded, *eventWindow, time.Now().UnixNano()
+	cfg.Ticks, cfg.Hangup, cfg.Period = ticker.C, hup, *period
+	cfg.StateDir, cfg.CheckpointEvery, cfg.WatchdogGrace = *stateDir, *checkpointEvery, *watchdogGrace
+	cfg.SyncEvery, cfg.Stream, cfg.MetricsFile = *syncEvery, *streamMode, *metricsFile
+	cfg.AdminAddr, cfg.Key = *adminAddr, fleetKeyBytes
+	cfg.TemplateOut, cfg.Verbose = *templateOut, *verbose
+	return daemon.Run(ctx, cfg)
 }

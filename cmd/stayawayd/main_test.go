@@ -3,6 +3,8 @@ package main
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/daemon"
 )
 
 func TestOptionsValidate(t *testing.T) {
@@ -134,14 +136,34 @@ func TestListFlag(t *testing.T) {
 	}
 }
 
+// The layout is decided once, when the flags are compiled into the lane
+// set: a single flag lane keeps the unsuffixed template (and the legacy
+// group and checkpoint names); several flag lanes, or a lanes file even
+// with one lane, write one app-suffixed file per lane.
 func TestTemplateOutPath(t *testing.T) {
-	if got := templateOutPath("/tmp/map.json", "vlc", false); got != "/tmp/map.json" {
+	single := compileLanes(options{sensCgroups: []string{"s/vlc"}, qosFiles: []string{"q"}}, nil)
+	if got := single.TemplatePath("/tmp/map.json", "vlc"); got != "/tmp/map.json" {
 		t.Fatalf("single = %q", got)
 	}
-	if got := templateOutPath("/tmp/map.json", "vlc", true); got != "/tmp/map-vlc.json" {
+	if d := single.Lanes[0]; !single.Legacy || d.App != "sensitive" || single.Group(d) != "sensitive" {
+		t.Fatalf("single flag lane = %+v legacy=%v, want the legacy layout", d, single.Legacy)
+	}
+	pid := compileLanes(options{sensitivePIDs: []int{1}, batchPIDs: []int{2}, qosFiles: []string{"q"}, apps: []string{"vlc"}}, nil)
+	if len(pid.Lanes) != 1 || !pid.Legacy || pid.Lanes[0].App != "vlc" || pid.Lanes[0].QoSFile != "q" {
+		t.Fatalf("PID mode = %+v legacy=%v", pid.Lanes, pid.Legacy)
+	}
+	multi := compileLanes(options{sensCgroups: []string{"s/vlc", "s/kv"}, qosFiles: []string{"q1", "q2"}, apps: []string{"vlc"}}, nil)
+	if got := multi.TemplatePath("/tmp/map.json", "vlc"); got != "/tmp/map-vlc.json" {
 		t.Fatalf("multi = %q", got)
 	}
-	if got := templateOutPath("/tmp/map", "kv", true); got != "/tmp/map-kv" {
+	if got := multi.TemplatePath("/tmp/map", "kv"); got != "/tmp/map-kv" {
 		t.Fatalf("no-ext = %q", got)
+	}
+	if kv := multi.Lanes[1]; kv.App != "s/kv" || multi.Group(kv) != "s/kv" {
+		t.Fatalf("unnamed second lane = %+v, want its cgroup path as app and group", kv)
+	}
+	file := compileLanes(options{}, []daemon.LaneDef{{App: "vlc", SensitiveCgroup: "s/vlc", QoSFile: "q"}})
+	if got := file.TemplatePath("/tmp/map.json", "vlc"); file.Legacy || got != "/tmp/map-vlc.json" {
+		t.Fatalf("one-lane lanes file = %q (legacy=%v), want the app-suffixed path", got, file.Legacy)
 	}
 }

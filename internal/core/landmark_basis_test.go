@@ -360,7 +360,7 @@ func TestReplacingOrGrowingTheMapDropsTheBasis(t *testing.T) {
 	// solved at its end — can have built one by then; it must not survive.
 	for name, adopt := range map[string]func(*Runtime) error{
 		"import":  func(r *Runtime) error { return r.ImportTemplate(tpl) },
-		"restore": func(r *Runtime) error { return r.RestoreCheckpoint(donor.Checkpoint()) },
+		"restore": func(r *Runtime) error { return r.Lane().RestoreCheckpoint(donor.Lane().Checkpoint()) },
 	} {
 		// Loads no learned state is near: each period creates a state.
 		var fresh []envStep

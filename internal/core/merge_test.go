@@ -1,9 +1,7 @@
 package core
 
 import (
-	"context"
 	"testing"
-	"time"
 
 	"repro/internal/mds"
 	"repro/internal/metrics"
@@ -134,66 +132,4 @@ func TestMergeTemplateRejectsSchemaMismatch(t *testing.T) {
 	if rt.Space().Len() != 0 {
 		t.Fatalf("rejected merge still added %d states", rt.Space().Len())
 	}
-}
-
-func TestServerOfferTemplateAppliesBetweenPeriods(t *testing.T) {
-	rt1 := runScript(t, []envStep{
-		active(50, 50, false),
-		active(150, 390, true),
-	})
-	tpl := rt1.ExportTemplate("web-app")
-
-	rt2, _ := newTestRuntime(t, baseConfig(), &fakeEnv{script: []envStep{
-		active(50, 50, false),
-	}})
-	srv, err := NewServer(rt2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := srv.OfferTemplate(nil); err == nil {
-		t.Fatal("nil offer accepted")
-	}
-
-	done := make(chan struct{})
-	srv.OnEvent = func(Event) { done <- struct{}{} }
-	ticks := make(chan time.Time)
-	if err := srv.Start(context.Background(), ticks); err != nil {
-		t.Fatal(err)
-	}
-	step := func() {
-		ticks <- time.Time{}
-		<-done
-	}
-
-	// A healthy offer from the stream goroutine merges at the next period
-	// boundary.
-	if err := srv.OfferTemplate(tpl); err != nil {
-		t.Fatal(err)
-	}
-	step()
-	merges, fails, stats, lastErr := srv.MergeStatus()
-	if merges != 1 || fails != 0 || lastErr != nil || stats.Added == 0 {
-		t.Fatalf("MergeStatus = %d/%d %+v %v after offer", merges, fails, stats, lastErr)
-	}
-
-	// A bad fleet patch is recorded and must not stop the loop.
-	bad := &statespace.Template{
-		Version: 2, SensitiveApp: "web-app", Dim: 1,
-		SchemaVMs: []string{"other"}, SchemaMetrics: tplMetricsMismatch(),
-		States: []statespace.TemplateState{{Label: statespace.Safe.String(), Weight: 1, Vector: []float64{0.5}}},
-	}
-	if err := srv.OfferTemplate(bad); err != nil {
-		t.Fatal(err)
-	}
-	step()
-	merges, fails, _, lastErr = srv.MergeStatus()
-	if merges != 1 || fails != 1 || lastErr == nil {
-		t.Fatalf("MergeStatus = %d/%d err %v after bad offer", merges, fails, lastErr)
-	}
-	if _, periods, err := srv.Snapshot(); err != nil || periods != 2 {
-		t.Fatalf("loop state after bad offer: periods=%d err=%v", periods, err)
-	}
-
-	close(ticks)
-	srv.Wait()
 }

@@ -1,14 +1,9 @@
 package core
 
 import (
-	"context"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
-	"repro/internal/resilience"
 	"repro/internal/throttle"
 )
 
@@ -104,219 +99,6 @@ func TestRuntimeStaleStateStaysUnverifiedWithoutFreshRevisit(t *testing.T) {
 	}
 }
 
-// driveServer feeds one tick per script step, tolerating a loop that dies
-// mid-script, then finishes via stop.
-func driveServer(t *testing.T, s *Server, ticks chan time.Time, n int, stop func()) {
-	t.Helper()
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for i := 0; i < n; i++ {
-			select {
-			case ticks <- time.Time{}:
-			case <-time.After(time.Second):
-				return
-			}
-		}
-	}()
-	<-done
-	stop()
-	s.Wait()
-}
-
-func TestServerFailSafeThawsBeforeWaitReturns(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		stop func(cancel context.CancelFunc, ticks chan time.Time)
-	}{
-		{"context-cancel", func(cancel context.CancelFunc, _ chan time.Time) { cancel() }},
-		{"tick-close", func(_ context.CancelFunc, ticks chan time.Time) { close(ticks) }},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			env := &fakeEnv{script: rampScenario()}
-			r, act := newTestRuntime(t, baseConfig(), env)
-			s, err := NewServer(r)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ctx, cancel := context.WithCancel(context.Background())
-			defer cancel()
-			ticks := make(chan time.Time)
-			if err := s.Start(ctx, ticks); err != nil {
-				t.Fatal(err)
-			}
-			driveServer(t, s, ticks, len(env.script), func() { tc.stop(cancel, ticks) })
-
-			// The instant Wait returns, nothing may still be frozen: the
-			// emergency release ran on the loop's way out.
-			if paused := act.Paused(); len(paused) != 0 {
-				t.Errorf("cgroups still frozen after Wait: %v", paused)
-			}
-			events := act.Events()
-			if len(events) == 0 {
-				t.Fatal("ramp scenario produced no actuations")
-			}
-			foundResume := false
-			for _, ev := range events {
-				if ev.Action == throttle.ActionResume {
-					foundResume = true
-				}
-			}
-			if !foundResume {
-				t.Error("no resume event; fail-safe did not actuate")
-			}
-			h := s.Health()
-			if !h.FailSafeRan || h.FailSafeErr != nil {
-				t.Errorf("health = ran %v err %v, want clean fail-safe", h.FailSafeRan, h.FailSafeErr)
-			}
-			if h.Panicked {
-				t.Error("clean shutdown reported as panic")
-			}
-		})
-	}
-}
-
-func TestServerAbsorbsRuntimePanicAndStillThaws(t *testing.T) {
-	// An environment whose QoS check panics partway through: the loop must
-	// die without taking the process down, and the fail-safe must still
-	// thaw everything.
-	env := &panicQoSEnv{fakeEnv: fakeEnv{script: rampScenario()}, panicAt: 5}
-	r, act := newTestRuntime(t, baseConfig(), env)
-	s, err := NewServer(r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ck := filepath.Join(t.TempDir(), "ck.json")
-	s.CheckpointPath = ck
-	s.CheckpointEvery = 1000 // only the final checkpoint could fire
-	ticks := make(chan time.Time)
-	if err := s.Start(context.Background(), ticks); err != nil {
-		t.Fatal(err)
-	}
-	driveServer(t, s, ticks, len(env.script), func() {})
-
-	h := s.Health()
-	if !h.Panicked {
-		t.Error("panic not recorded in health")
-	}
-	if !h.FailSafeRan {
-		t.Error("fail-safe skipped after panic")
-	}
-	if len(act.Paused()) != 0 {
-		t.Errorf("cgroups frozen after panic exit: %v", act.Paused())
-	}
-	_, _, lastErr := s.Snapshot()
-	if lastErr == nil || !strings.Contains(lastErr.Error(), "panic") {
-		t.Errorf("last error = %v, want the absorbed panic", lastErr)
-	}
-	// No final checkpoint after a panic: mid-period state is untrusted.
-	if _, err := os.Stat(ck); !os.IsNotExist(err) {
-		t.Errorf("checkpoint written after panic (stat err %v)", err)
-	}
-}
-
-// panicQoSEnv panics in QoSViolation on period panicAt.
-type panicQoSEnv struct {
-	fakeEnv
-	panicAt int
-	periods int
-}
-
-func (e *panicQoSEnv) QoSViolation() bool {
-	e.periods++
-	if e.periods > e.panicAt {
-		panic("injected QoS fault")
-	}
-	return e.fakeEnv.QoSViolation()
-}
-
-func TestServerCheckpointRoundTripRestoresLearnedState(t *testing.T) {
-	env := &fakeEnv{script: rampScenario()}
-	r, _ := newTestRuntime(t, baseConfig(), env)
-	s, err := NewServer(r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "state", "checkpoint.json")
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		t.Fatal(err)
-	}
-	s.CheckpointPath = path
-	ticks := make(chan time.Time)
-	if err := s.Start(context.Background(), ticks); err != nil {
-		t.Fatal(err)
-	}
-	driveServer(t, s, ticks, len(env.script), func() { close(ticks) })
-
-	h := s.Health()
-	if h.Checkpoints == 0 || h.CheckpointErr != nil {
-		t.Fatalf("health = %d checkpoints, err %v", h.Checkpoints, h.CheckpointErr)
-	}
-	ck, err := resilience.LoadCheckpoint(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ck == nil {
-		t.Fatal("checkpoint missing after clean exit")
-	}
-	if ck.Periods != len(env.script) {
-		t.Errorf("checkpoint periods = %d, want %d", ck.Periods, len(env.script))
-	}
-
-	// A rebooted daemon restoring the checkpoint starts with the learned
-	// map AND the learned β — it must guard the very first ramp, like a
-	// template-seeded runtime, without relearning.
-	env2 := &fakeEnv{script: rampScenario()}
-	r2, _ := newTestRuntime(t, baseConfig(), env2)
-	if err := r2.RestoreCheckpoint(ck); err != nil {
-		t.Fatal(err)
-	}
-	if !r2.Space().HasViolations() {
-		t.Error("restored space lost violation states")
-	}
-	if r2.Beta() != r.Beta() {
-		t.Errorf("restored beta = %v, want %v", r2.Beta(), r.Beta())
-	}
-	firstPause := -1
-	for i := 0; i < len(env2.script); i++ {
-		ev, err := r2.Period()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ev.Action == throttle.ActionPause {
-			firstPause = ev.Period
-			break
-		}
-	}
-	if firstPause < 0 {
-		t.Fatal("restored runtime never paused")
-	}
-	if firstPause >= 9 {
-		t.Errorf("restored runtime paused at %d; should beat the cold learning violation at 9", firstPause)
-	}
-}
-
-func TestServerCheckpointCadence(t *testing.T) {
-	env := &fakeEnv{script: rampScenario()}
-	r, _ := newTestRuntime(t, baseConfig(), env)
-	s, err := NewServer(r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.CheckpointPath = filepath.Join(t.TempDir(), "ck.json")
-	s.CheckpointEvery = 5
-	ticks := make(chan time.Time)
-	if err := s.Start(context.Background(), ticks); err != nil {
-		t.Fatal(err)
-	}
-	driveServer(t, s, ticks, len(env.script), func() { close(ticks) })
-	// len/5 periodic checkpoints plus the final one.
-	want := len(env.script)/5 + 1
-	if h := s.Health(); h.Checkpoints != want {
-		t.Errorf("checkpoints = %d, want %d", h.Checkpoints, want)
-	}
-}
-
 func TestHealthSurfacesQoSStaleness(t *testing.T) {
 	env := &staleEnv{
 		fakeEnv: fakeEnv{script: []envStep{
@@ -328,17 +110,19 @@ func TestHealthSurfacesQoSStaleness(t *testing.T) {
 	}
 	cfg := baseConfig()
 	cfg.QoSStaleAfter = 2
-	r, _ := newTestRuntime(t, cfg, env)
-	s, err := NewServer(r)
+	h, err := NewHost(env, throttle.NewRecordingActuator())
 	if err != nil {
 		t.Fatal(err)
 	}
-	ticks := make(chan time.Time)
-	if err := s.Start(context.Background(), ticks); err != nil {
+	if _, err := h.AddLane(cfg, env); err != nil {
 		t.Fatal(err)
 	}
-	driveServer(t, s, ticks, len(env.script), func() { close(ticks) })
-	if h := s.Health(); !h.QoSStale {
-		t.Error("health does not surface the stale QoS signal")
+	for range env.script {
+		if _, err := h.Period(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if health := h.Health(); len(health) != 1 || !health[0].QoSStale {
+		t.Errorf("health %+v does not surface the stale QoS signal", health)
 	}
 }

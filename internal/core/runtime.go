@@ -18,7 +18,6 @@ import (
 // Runtime is not safe for concurrent use: all methods are called from the
 // single periodic monitoring loop.
 type Runtime struct {
-	cfg  Config
 	env  Environment
 	lane *Lane
 }
@@ -36,7 +35,7 @@ func New(cfg Config, env Environment, act throttle.Actuator) (*Runtime, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Runtime{cfg: cfg, env: env, lane: lane}, nil
+	return &Runtime{env: env, lane: lane}, nil
 }
 
 // Period executes one full Mapping → Prediction → Action cycle and returns
@@ -58,10 +57,6 @@ func (r *Runtime) Period() (Event, error) {
 
 // Lane exposes the runtime's single protection lane.
 func (r *Runtime) Lane() *Lane { return r.lane }
-
-// SensitiveApp returns the fleet-wide application name templates are
-// keyed by (Config.SensitiveApp, defaulted to SensitiveID).
-func (r *Runtime) SensitiveApp() string { return r.cfg.SensitiveApp }
 
 // Space exposes the learned state space (read-mostly; used by experiments
 // and template export).

@@ -1,14 +1,13 @@
-// Package daemon is stayawayd's live-operations layer: the declarative
-// lane configuration (lanes.json) with two-phase validate-then-commit
-// reload, the mtime/size file watcher that triggers it without fsnotify,
-// the thread-safe status board the control loop publishes to, and the
-// HTTP admin surface (/healthz, /readyz, /metrics, /v1/events SSE,
-// /v1/reload) that serves it.
+// Package daemon is stayawayd's control loop (Run) and its
+// live-operations layer: the declarative lane configuration (lanes.json)
+// with two-phase validate-then-commit reload, the mtime/size file
+// watcher that triggers it without fsnotify, the thread-safe status
+// board the loop publishes to, and the HTTP admin surface (/healthz,
+// /readyz, /metrics, /v1/events SSE, /v1/reload) that serves it.
 //
-// The package deliberately holds no reference to core.HostRuntime: the
-// runtime is single-threaded and owned by the daemon's control loop, so
-// everything here either runs on that loop (reload commits) or reads
-// immutable snapshots the loop published (the admin handlers).
+// The host runtime is single-threaded and owned by the loop's goroutine:
+// everything else here either runs on that goroutine (reload commits) or
+// reads immutable snapshots the loop published (the admin handlers).
 package daemon
 
 import (

@@ -1,8 +1,15 @@
 package daemon
 
 import (
+	"fmt"
+	"os"
 	"sync"
 	"time"
+
+	"repro/internal/cgroup"
+	"repro/internal/core"
+	"repro/internal/procenv"
+	"repro/internal/resilience"
 )
 
 // Reloader is the two-phase hot-reload pipeline for the lanes file.
@@ -140,4 +147,183 @@ func (r *Reloader) Diff(desired []LaneDef) LaneDiff {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return DiffLanes(r.current, desired)
+}
+
+// queueReload is phase one of a hot reload, shared by SIGHUP, the
+// watcher and POST /v1/reload: validate and stage, or reject with the
+// running set untouched.
+func (l *loop) queueReload(source string) error {
+	err := l.reloader.Queue()
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "stayawayd: reload (%s) rejected, keeping running config: %v\n", source, err)
+		if l.metrics != nil {
+			l.metrics.Counter(metricReloads, helpReloads, "result", "rejected").Add(1)
+		}
+		if l.hub != nil {
+			l.hub.Publish(ReloadEvent(ReloadOutcome{Rejected: err.Error()}))
+		}
+		return err
+	}
+	fmt.Printf("stayawayd: reload (%s) validated, applying at next period boundary\n", source)
+	return nil
+}
+
+// applyReload is phase two of a hot reload, run at a period boundary:
+// take the staged config, diff it against what is running, apply adds
+// before changes before removes — the shared pool is never left less
+// protected than both configs agree on — and commit the set that is
+// actually running afterwards, so a failed add surfaces as drift in
+// ReloadStatus instead of being papered over.
+func (l *loop) applyReload() {
+	if l.reloader == nil {
+		return
+	}
+	desired, gen, ok := l.reloader.TakePending()
+	if !ok {
+		return
+	}
+	diff := l.reloader.Diff(desired)
+	if diff.Empty() {
+		l.reloader.Commit(gen, desired)
+		return
+	}
+	fmt.Printf("stayawayd: reload gen %d: applying %s\n", gen, diff)
+	byApp := make(map[string]*lane, len(l.lanes))
+	for _, ln := range l.lanes {
+		byApp[ln.app] = ln
+	}
+	publishLane := func(c LaneChange) {
+		if l.hub != nil {
+			l.hub.Publish(LaneEvent(c))
+		}
+	}
+	for _, d := range diff.Add {
+		ln, err := l.addLive(d)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "stayawayd: reload: add %s: %v\n", d.Name(), err)
+			publishLane(LaneChange{Op: "add", App: d.Name(), Error: err.Error()})
+			continue
+		}
+		byApp[ln.app] = ln
+		fmt.Printf("stayawayd: reload: added lane %s (cgroup %s)\n", ln.app, d.SensitiveCgroup)
+		publishLane(LaneChange{Op: "add", App: ln.app})
+	}
+	for _, d := range diff.Change {
+		ln := byApp[d.Name()]
+		if ln == nil {
+			continue
+		}
+		carried, err := l.changeLane(ln, d)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "stayawayd: reload: change %s rejected, lane keeps its old config: %v\n", d.Name(), err)
+			publishLane(LaneChange{Op: "change", App: d.Name(), Error: err.Error()})
+			continue
+		}
+		fmt.Printf("stayawayd: reload: reconfigured lane %s (state carried: %v)\n", ln.app, carried)
+		publishLane(LaneChange{Op: "change", App: ln.app, Carried: carried})
+	}
+	for _, name := range diff.Remove {
+		ln := byApp[name]
+		if ln == nil {
+			continue
+		}
+		errStr := ""
+		if err := l.removeLane(ln); err != nil {
+			fmt.Fprintf(os.Stderr, "stayawayd: reload: remove %s: %v\n", name, err)
+			errStr = err.Error()
+		} else {
+			fmt.Printf("stayawayd: reload: removed lane %s\n", name)
+		}
+		delete(byApp, name)
+		publishLane(LaneChange{Op: "remove", App: name, Error: errStr})
+	}
+	applied := make([]LaneDef, 0, len(l.lanes))
+	for _, ln := range l.lanes {
+		applied = append(applied, ln.def)
+	}
+	l.reloader.Commit(gen, applied)
+	if l.metrics != nil {
+		l.metrics.Counter(metricReloads, helpReloads, "result", "applied").Add(1)
+	}
+	if l.hub != nil {
+		l.hub.Publish(ReloadEvent(ReloadOutcome{Generation: gen, Diff: diff.String()}))
+	}
+}
+
+// addLive registers a new lane's telemetry group, adds the lane and
+// resumes its learning if it ran here before.
+func (l *loop) addLive(d LaneDef) (*lane, error) {
+	group := l.cfg.Lanes.Group(d)
+	if err := l.cfg.Groups.AddGroup(cgroup.Group{Name: group, Path: d.SensitiveCgroup}); err != nil {
+		return nil, err
+	}
+	ln, err := l.addLane(d)
+	if err != nil {
+		l.cfg.Groups.RemoveGroup(group)
+		return nil, err
+	}
+	ln.restore()
+	return ln, nil
+}
+
+// changeLane swaps ln's lane for one built from d, carrying its learned
+// state when the schema allows. On error the old lane runs on.
+func (l *loop) changeLane(ln *lane, d LaneDef) (bool, error) {
+	group, old := l.cfg.Lanes.Group(d), l.cfg.Lanes.Group(ln.def)
+	if group != old {
+		// The sensitive cgroup moved: register the new telemetry group
+		// first so the replacement lane's first collection sees its real
+		// source.
+		if err := l.cfg.Groups.AddGroup(cgroup.Group{Name: group, Path: d.SensitiveCgroup}); err != nil {
+			return false, err
+		}
+	}
+	sig, err := l.cfg.Env.Signals(group, procenv.FileQoS{Path: d.QoSFile})
+	if err == nil {
+		var rt *core.Lane
+		var carried bool
+		rt, carried, err = l.host.ReconfigureLane(l.laneConfig(group, d.Name()), sig)
+		if err == nil {
+			if group != old {
+				l.cfg.Groups.RemoveGroup(old)
+			}
+			ln.sig, ln.rt, ln.def = sig, rt, d
+			// The replacement lane's event ring restarts at sequence 0.
+			ln.seq, ln.hubSeq = 0, 0
+			return carried, nil
+		}
+	}
+	if group != old {
+		l.cfg.Groups.RemoveGroup(group) // roll back; the old lane runs on
+	}
+	return false, err
+}
+
+// removeLane drains ln out of the host runtime, flushing its checkpoint
+// and sharing its map first.
+func (l *loop) removeLane(ln *lane) error {
+	rt, err := l.host.RemoveLane(ln.app)
+	// The lane is out of the arbiter's merge even on error (removal is
+	// fail-safe); what follows is best-effort bookkeeping.
+	if rt != nil && rt.Space().Len() > 0 {
+		if ln.ckPath != "" {
+			if ckErr := resilience.SaveCheckpoint(ln.ckPath, rt.Checkpoint()); ckErr != nil {
+				fmt.Fprintf(os.Stderr, "stayawayd: %s: departing checkpoint: %v\n", ln.app, ckErr)
+			}
+		}
+		if ln.syncer != nil {
+			// Share the freshest map before the lane disappears.
+			if pushErr := ln.syncer.PushTemplate(rt.ExportTemplate(ln.app)); pushErr != nil {
+				fmt.Fprintf(os.Stderr, "stayawayd: %s: departing push: %v\n", ln.app, pushErr)
+			}
+		}
+	}
+	l.cfg.Groups.RemoveGroup(l.cfg.Lanes.Group(ln.def))
+	for i, cur := range l.lanes {
+		if cur == ln {
+			l.lanes = append(l.lanes[:i], l.lanes[i+1:]...)
+			break
+		}
+	}
+	return err
 }

@@ -6,27 +6,21 @@ package fleet_test
 
 import (
 	"context"
-	"fmt"
 	"math/rand"
-	"net/http"
 	"net/http/httptest"
-	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/apps"
-	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/fleet"
-	"repro/internal/metrics"
 	"repro/internal/registry"
 	"repro/internal/sim"
-	"repro/internal/throttle"
 )
 
 // newE2EServer and newE2EClient mirror the in-package test fixtures using
 // only the exported API (this package cannot reach them).
-func newE2EServer(t *testing.T) (*httptest.Server, *registry.Registry) {
+func newE2EServer(t *testing.T) *httptest.Server {
 	t.Helper()
 	reg, err := registry.Open(registry.Config{})
 	if err != nil {
@@ -38,7 +32,7 @@ func newE2EServer(t *testing.T) (*httptest.Server, *registry.Registry) {
 	}
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
-	return ts, reg
+	return ts
 }
 
 func newE2EClient(t *testing.T, baseURL string) *fleet.Client {
@@ -53,30 +47,6 @@ func newE2EClient(t *testing.T, baseURL string) *fleet.Client {
 	return c
 }
 
-// e2eGatedTransport fails every request while down — a registry outage
-// switch, same as the in-package gatedTransport.
-type e2eGatedTransport struct {
-	mu    sync.Mutex
-	down  bool
-	inner http.RoundTripper
-}
-
-func (g *e2eGatedTransport) setDown(down bool) {
-	g.mu.Lock()
-	g.down = down
-	g.mu.Unlock()
-}
-
-func (g *e2eGatedTransport) RoundTrip(req *http.Request) (*http.Response, error) {
-	g.mu.Lock()
-	down := g.down
-	g.mu.Unlock()
-	if down {
-		return nil, fmt.Errorf("registry unreachable (simulated outage)")
-	}
-	return g.inner.RoundTrip(req)
-}
-
 // The acceptance scenario for the fleet control plane: host A learns a
 // state-space map against CPUBomb and pushes it to the registry; host B —
 // a different machine running the same sensitive application against a
@@ -85,7 +55,7 @@ func (g *e2eGatedTransport) RoundTrip(req *http.Request) (*http.Response, error)
 // the paper's Fig 17→18 template story, across hosts instead of across
 // runs.
 func TestE2ETemplateSharedAcrossHosts(t *testing.T) {
-	ts, _ := newE2EServer(t)
+	ts := newE2EServer(t)
 	ctx := context.Background()
 
 	vlc := func(rng *rand.Rand) sim.QoSApp {
@@ -207,123 +177,5 @@ func TestE2ETemplateSharedAcrossHosts(t *testing.T) {
 	}
 	if len(status.Templates) != 1 || status.Templates[0].Hosts != 2 {
 		t.Errorf("status templates = %+v", status.Templates)
-	}
-}
-
-// e2eEnv scripts a minimal core.Environment: a sensitive container under
-// growing batch pressure, violating QoS above a CPU threshold.
-type e2eEnv struct {
-	tick int
-}
-
-func (e *e2eEnv) Collect() []metrics.Sample {
-	e.tick++
-	batch := float64((e.tick * 37) % 400)
-	return []metrics.Sample{
-		metrics.NewSample("web", map[metrics.Metric]float64{
-			metrics.MetricCPU:    100,
-			metrics.MetricMemory: 500,
-		}),
-		metrics.NewSample("b1", map[metrics.Metric]float64{
-			metrics.MetricCPU: batch,
-		}),
-	}
-}
-
-func (e *e2eEnv) QoSViolation() bool     { return (e.tick*37)%400 > 300 }
-func (e *e2eEnv) SensitiveRunning() bool { return true }
-func (e *e2eEnv) BatchRunning() bool     { return true }
-func (e *e2eEnv) BatchActive() bool      { return true }
-
-// The degraded-mode half of the acceptance scenario: a registry outage in
-// the middle of a run must not interrupt the control loop — the daemon
-// keeps protecting from its local map, records the sync failures, and the
-// first periodic push after recovery resyncs the registry.
-func TestE2ERegistryOutageMidRun(t *testing.T) {
-	ts, reg := newE2EServer(t)
-	gate := &e2eGatedTransport{inner: http.DefaultTransport}
-	client, err := fleet.NewClient(fleet.ClientConfig{
-		BaseURL:   ts.URL,
-		Transport: gate,
-		Retry: fleet.RetryConfig{
-			Attempts: 2,
-			Sleep:    func(context.Context, time.Duration) error { return nil },
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	syncer := fleet.NewSyncer(client, "host-a", "web")
-
-	cfg := core.DefaultConfig("web", []string{"b1"}, metrics.DefaultRanges(4, 4096, 200, 1000))
-	rt, err := core.New(cfg, &e2eEnv{}, throttle.NewRecordingActuator())
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv, err := core.NewServer(rt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv.Sink = syncer
-	srv.SyncEvery = 5
-	done := make(chan struct{})
-	srv.OnEvent = func(core.Event) { done <- struct{}{} }
-
-	ticks := make(chan time.Time)
-	if err := srv.Start(context.Background(), ticks); err != nil {
-		t.Fatal(err)
-	}
-	// Each step waits for the period to complete, so assertions after
-	// step() observe a quiescent loop.
-	step := func(n int) {
-		for i := 0; i < n; i++ {
-			ticks <- time.Time{}
-			<-done
-		}
-	}
-
-	// Healthy phase: two sync points (periods 5 and 10) pass. The loop
-	// pushes after OnEvent, so phases end off the sync cadence — the two
-	// trailing ticks guarantee the last push settled before the gate flips.
-	step(12)
-	// Outage strikes mid-run: pushes at periods 15 and 20 fail.
-	gate.setDown(true)
-	step(10)
-	if _, periods, err := srv.Snapshot(); err != nil || periods != 22 {
-		t.Fatalf("loop did not keep controlling through the outage: periods=%d err=%v", periods, err)
-	}
-	if degraded, lastErr := syncer.Degraded(); !degraded || lastErr == nil {
-		t.Error("outage not reflected in syncer state")
-	}
-	if _, failures, syncErr := srv.SyncStatus(); failures == 0 || syncErr == nil {
-		t.Error("outage not reflected in server sync status")
-	}
-
-	// Recovery: the push at period 25 resyncs without any intervention,
-	// and shutdown flushes one final snapshot.
-	gate.setDown(false)
-	step(3)
-	close(ticks)
-	srv.Wait()
-
-	if degraded, _ := syncer.Degraded(); degraded {
-		t.Error("syncer still degraded after recovery")
-	}
-	syncs, failures, syncErr := srv.SyncStatus()
-	if syncs < 3 || failures != 2 || syncErr != nil {
-		t.Errorf("sync status = %d ok / %d failed / err %v, want ≥3 ok, 2 failed, nil", syncs, failures, syncErr)
-	}
-	entry, ok := reg.Get("web", "")
-	if !ok {
-		t.Fatal("registry never received the host's map")
-	}
-	if entry.Revision < 3 {
-		t.Errorf("registry revision = %d, want ≥3 (healthy pushes + resync)", entry.Revision)
-	}
-	if len(entry.Template.States) == 0 {
-		t.Error("registry holds an empty map")
-	}
-	if rt.Report().Periods != 25 {
-		t.Errorf("runtime periods = %d, want 25", rt.Report().Periods)
 	}
 }

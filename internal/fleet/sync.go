@@ -15,8 +15,6 @@ import (
 // but never propagates into the control loop: the daemon keeps protecting
 // from its local map, and the next periodic push resyncs automatically once
 // the registry recovers.
-//
-// Syncer implements core.TemplateSink.
 type Syncer struct {
 	client *Client
 	host   string
@@ -66,9 +64,8 @@ func (s *Syncer) Bootstrap(ctx context.Context) (*statespace.Template, int, erro
 }
 
 // PushTemplate uploads the current learned map, bounded by the sync
-// timeout. It returns the sync error for observability; callers that wire
-// it as a core.TemplateSink treat errors as a degraded-mode signal, not a
-// failure.
+// timeout. It returns the sync error for observability; the daemon's
+// control loop logs it as a degraded-mode signal, never a failure.
 func (s *Syncer) PushTemplate(t *statespace.Template) error {
 	ctx, cancel := s.opContext()
 	defer cancel()

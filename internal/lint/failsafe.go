@@ -55,8 +55,7 @@ var failsafePkgs = []string{
 // restrictions just like a skipped Resume would.
 var failsafeReleaseNames = map[string]bool{
 	"Resume": true, "Release": true, "ReleaseAll": true,
-	"Thaw": true, "runFailSafe": true,
-	"RemoveLane": true, "DropLane": true,
+	"Thaw": true, "RemoveLane": true, "DropLane": true,
 }
 
 // fsState is a bitset over the possible (held, deferred-release)

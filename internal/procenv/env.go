@@ -1,12 +1,10 @@
 package procenv
 
 import (
-	"fmt"
 	"os"
 	"strconv"
 	"strings"
 
-	"repro/internal/core"
 	"repro/internal/metrics"
 )
 
@@ -48,17 +46,7 @@ func (f FileQoS) QoS() (float64, float64, bool) {
 	return v, t, true
 }
 
-// StaticQoS always reports the same value; useful for tests and dry runs.
-type StaticQoS struct {
-	Value, Threshold float64
-}
-
-var _ QoSSource = StaticQoS{}
-
-// QoS implements QoSSource.
-func (s StaticQoS) QoS() (float64, float64, bool) { return s.Value, s.Threshold, true }
-
-// Sampler is the measurement source an Environment observes: the procfs
+// Sampler is the measurement source a HostEnv observes: the procfs
 // Collector in PID mode, or cgroup.Collector in cgroup mode. Group names
 // are the metrics.Sample VM names.
 type Sampler interface {
@@ -75,121 +63,3 @@ type Sampler interface {
 }
 
 var _ Sampler = (*Collector)(nil)
-
-// Environment adapts a Sampler plus a QoSSource to core.Environment for
-// real processes or cgroups. It also implements core.QoSFreshness: a
-// missing or unparsable QoS report is remembered as silence, so the
-// runtime can treat a prolonged quiet stretch as a stale signal rather
-// than a healthy application.
-type Environment struct {
-	collector Sampler
-	sensitive string
-	batch     []string
-	qos       QoSSource
-	// qosFresh records whether the most recent QoSViolation call saw a
-	// usable report. It starts true (no evidence of silence yet).
-	qosFresh bool
-}
-
-var (
-	_ core.Environment  = (*Environment)(nil)
-	_ core.QoSFreshness = (*Environment)(nil)
-)
-
-// NewEnvironment builds an environment over the sampler's groups. The
-// sensitive name must match one group; batch names must match the rest.
-func NewEnvironment(c Sampler, sensitiveGroup string, batchGroups []string, qos QoSSource) (*Environment, error) {
-	if c == nil {
-		return nil, fmt.Errorf("procenv: nil collector")
-	}
-	if qos == nil {
-		return nil, fmt.Errorf("procenv: nil QoS source")
-	}
-	known := map[string]bool{}
-	for _, name := range c.GroupNames() {
-		known[name] = true
-	}
-	if !known[sensitiveGroup] {
-		return nil, fmt.Errorf("procenv: sensitive group %q not in collector", sensitiveGroup)
-	}
-	for _, b := range batchGroups {
-		if !known[b] {
-			return nil, fmt.Errorf("procenv: batch group %q not in collector", b)
-		}
-	}
-	return &Environment{
-		collector: c,
-		sensitive: sensitiveGroup,
-		batch:     append([]string(nil), batchGroups...),
-		qos:       qos,
-		qosFresh:  true,
-	}, nil
-}
-
-// Collect implements core.Environment.
-func (e *Environment) Collect() []metrics.Sample { return e.collector.Sample() }
-
-// QoSViolation implements core.Environment.
-func (e *Environment) QoSViolation() bool {
-	if !e.SensitiveRunning() {
-		// No sensitive application means no reports are expected; that is
-		// not the reporting channel going silent.
-		e.qosFresh = true
-		return false
-	}
-	v, t, ok := e.qos.QoS()
-	e.qosFresh = ok
-	return ok && v < t
-}
-
-// QoSFresh implements core.QoSFreshness: whether the most recent period
-// had a usable QoS report.
-func (e *Environment) QoSFresh() bool { return e.qosFresh }
-
-// SensitiveRunning implements core.Environment.
-func (e *Environment) SensitiveRunning() bool {
-	return e.collector.GroupRunning(e.sensitive)
-}
-
-// BatchRunning implements core.Environment.
-func (e *Environment) BatchRunning() bool {
-	for _, b := range e.batch {
-		if e.collector.GroupRunning(b) {
-			return true
-		}
-	}
-	return false
-}
-
-// BatchActive implements core.Environment.
-func (e *Environment) BatchActive() bool {
-	for _, b := range e.batch {
-		if e.collector.GroupActive(b) {
-			return true
-		}
-	}
-	return false
-}
-
-// BatchPIDs returns the decimal PID strings of all batch groups, in the
-// form throttle.ProcessActuator consumes. Only meaningful when the
-// sampler is the procfs Collector; cgroup-backed environments address
-// batch groups by cgroup path instead and get nil.
-func (e *Environment) BatchPIDs() []string {
-	c, ok := e.collector.(*Collector)
-	if !ok {
-		return nil
-	}
-	var out []string
-	for _, b := range e.batch {
-		for _, g := range c.groups {
-			if g.Name != b {
-				continue
-			}
-			for _, pid := range g.PIDs {
-				out = append(out, strconv.Itoa(pid))
-			}
-		}
-	}
-	return out
-}

@@ -6,7 +6,17 @@ import (
 	"testing"
 )
 
-func newTestEnv(t *testing.T, qos QoSSource) (*Environment, string) {
+// staticQoS always reports the same report.
+type staticQoS struct {
+	value, threshold float64
+}
+
+func (s staticQoS) QoS() (float64, float64, bool) { return s.value, s.threshold, true }
+
+// newTestEnv builds a host environment over a fixture /proc with one
+// sensitive process (pid 100, group "svc") and one batch process (pid
+// 200, group "jobs"), and binds the sensitive application's signals.
+func newTestEnv(t *testing.T, qos QoSSource) (*HostEnv, *AppSignals, string) {
 	t.Helper()
 	root := t.TempDir()
 	writeFakeProc(t, root, 100, "sensitive", 'R', 0, 0, 1024, 0, 0)
@@ -18,11 +28,15 @@ func newTestEnv(t *testing.T, qos QoSSource) (*Environment, string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	env, err := NewEnvironment(c, "svc", []string{"jobs"}, qos)
+	env, err := NewHostEnv(c, []string{"jobs"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return env, root
+	sig, err := env.Signals("svc", qos)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return env, sig, root
 }
 
 func TestNewEnvironmentValidation(t *testing.T) {
@@ -31,26 +45,30 @@ func TestNewEnvironmentValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewEnvironment(nil, "svc", nil, StaticQoS{}); err == nil {
+	if _, err := NewHostEnv(nil, nil); err == nil {
 		t.Error("nil collector should error")
 	}
-	if _, err := NewEnvironment(c, "svc", nil, nil); err == nil {
+	if _, err := NewHostEnv(c, []string{"ghost"}); err == nil {
+		t.Error("unknown batch group should error")
+	}
+	env, err := NewHostEnv(c, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := env.Signals("svc", nil); err == nil {
 		t.Error("nil QoS source should error")
 	}
-	if _, err := NewEnvironment(c, "ghost", nil, StaticQoS{}); err == nil {
+	if _, err := env.Signals("ghost", staticQoS{}); err == nil {
 		t.Error("unknown sensitive group should error")
-	}
-	if _, err := NewEnvironment(c, "svc", []string{"ghost"}, StaticQoS{}); err == nil {
-		t.Error("unknown batch group should error")
 	}
 }
 
 func TestEnvironmentRoles(t *testing.T) {
-	env, root := newTestEnv(t, StaticQoS{Value: 1, Threshold: 0.9})
-	if !env.SensitiveRunning() || !env.BatchRunning() || !env.BatchActive() {
+	env, sig, root := newTestEnv(t, staticQoS{1, 0.9})
+	if !sig.SensitiveRunning() || !env.BatchRunning() || !env.BatchActive() {
 		t.Error("both groups should be running")
 	}
-	if env.QoSViolation() {
+	if sig.QoSViolation() {
 		t.Error("value 1 ≥ threshold 0.9: no violation")
 	}
 	samples := env.Collect()
@@ -69,24 +87,51 @@ func TestEnvironmentRoles(t *testing.T) {
 }
 
 func TestEnvironmentViolation(t *testing.T) {
-	env, root := newTestEnv(t, StaticQoS{Value: 0.5, Threshold: 0.9})
-	if !env.QoSViolation() {
+	_, sig, root := newTestEnv(t, staticQoS{0.5, 0.9})
+	if !sig.QoSViolation() {
 		t.Error("value 0.5 < threshold 0.9: violation expected")
 	}
 	// A dead sensitive process never violates (there is nothing to protect).
 	if err := os.RemoveAll(filepath.Join(root, "100")); err != nil {
 		t.Fatal(err)
 	}
-	if env.QoSViolation() {
+	if sig.QoSViolation() {
 		t.Error("no sensitive process: no violation")
 	}
 }
 
-func TestEnvironmentBatchPIDs(t *testing.T) {
-	env, _ := newTestEnv(t, StaticQoS{})
-	pids := env.BatchPIDs()
-	if len(pids) != 1 || pids[0] != "200" {
-		t.Errorf("batch PIDs = %v, want [200]", pids)
+// A missing or unparsable report is silence, not health: the period
+// reads as stale. A sensitive application that is not running is not
+// expected to report, so its silence reads as fresh.
+func TestAppSignalsQoSFreshness(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "qos")
+	_, sig, root := newTestEnv(t, FileQoS{Path: path})
+	if !sig.QoSFresh() {
+		t.Error("freshness must start true: no evidence of silence yet")
+	}
+	if err := os.WriteFile(path, []byte("0.5 0.9\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if !sig.QoSViolation() || !sig.QoSFresh() {
+		t.Error("a parsable report must read as fresh")
+	}
+	for _, report := range []string{"garbage\n", ""} {
+		if report == "" {
+			if err := os.Remove(path); err != nil {
+				t.Fatal(err)
+			}
+		} else if err := os.WriteFile(path, []byte(report), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if sig.QoSViolation() || sig.QoSFresh() {
+			t.Errorf("report %q: want no violation and a stale signal", report)
+		}
+	}
+	if err := os.RemoveAll(filepath.Join(root, "100")); err != nil {
+		t.Fatal(err)
+	}
+	if sig.QoSViolation() || !sig.QoSFresh() {
+		t.Error("a sensitive application that is not running must read as fresh")
 	}
 }
 

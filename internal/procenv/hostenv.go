@@ -86,8 +86,10 @@ func (e *HostEnv) Signals(sensitiveGroup string, qos QoSSource) (*AppSignals, er
 }
 
 // AppSignals is one application's view of the shared host: its own run
-// state and QoS channel. Mirrors Environment's freshness semantics — a
-// missing or unparsable report is remembered as silence.
+// state and QoS channel. A missing or unparsable report is remembered as
+// silence (QoSFresh false), so the lane can treat a prolonged quiet
+// stretch as a stale signal rather than a healthy application; a
+// sensitive application that is not running is expected to be silent.
 type AppSignals struct {
 	collector Sampler
 	group     string

@@ -1,8 +1,9 @@
-// Package procenv implements core.Environment for real Linux processes:
-// per-process resource usage is sampled from procfs (the same numbers
-// cgroup accounting exposes), QoS violations are read from a report file
-// the sensitive application writes, and throttling is actuated with the
-// paper's SIGSTOP/SIGCONT via throttle.ProcessActuator.
+// Package procenv implements core.HostEnvironment and core.LaneSignals
+// for real Linux processes: per-process resource usage is sampled from
+// procfs (the same numbers cgroup accounting exposes), QoS violations
+// are read from a report file the sensitive application writes, and
+// throttling is actuated with the paper's SIGSTOP/SIGCONT via
+// throttle.ProcessActuator.
 //
 // The procfs root is configurable so tests run against a fixture tree;
 // production uses "/proc".
