@@ -1,36 +1,24 @@
 // Command stayawaylint runs the repository's invariant analyzers (see
-// internal/lint) over package patterns and exits non-zero on any finding.
-//
-// Standalone (the CI entry point):
+// internal/lint) over package patterns and exits non-zero on any finding:
 //
 //	go run ./cmd/stayawaylint ./...
-//
-// As a vet tool, using the go command's package loader instead of the
-// built-in one:
-//
-//	go build -o /tmp/stayawaylint ./cmd/stayawaylint
-//	go vet -vettool=/tmp/stayawaylint ./...
 //
 // Findings are suppressed in source with a mandatory-reason directive:
 //
 //	//lint:stayaway-ignore <analyzer> <reason>
+//
+// -suppressions lists those directives instead of the findings, each with
+// whether it still silences anything.
 package main
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"flag"
 	"fmt"
-	"go/token"
 	"io"
 	"os"
-	"path/filepath"
-	"sort"
-	"strings"
 
 	"repro/internal/lint"
-	"repro/internal/lint/analysis"
 	"repro/internal/lint/load"
 )
 
@@ -47,29 +35,12 @@ const (
 )
 
 func run(args []string, stdout, stderr io.Writer) int {
-	// go vet's tool handshake: `stayawaylint -V=full` must print
-	// "<name> version devel buildID=<id>" (cmd/go parses this to key its
-	// vet-result cache, so the ID is a content hash of this binary), and
-	// `stayawaylint -flags` a JSON description of the tool's vet-settable
-	// flags (none — selection flags are standalone only).
-	if len(args) == 1 && strings.HasPrefix(args[0], "-V") {
-		fmt.Fprintf(stdout, "stayawaylint version devel buildID=%s\n", selfContentID())
-		return exitOK
-	}
-	if len(args) == 1 && args[0] == "-flags" {
-		fmt.Fprintln(stdout, "[]")
-		return exitOK
-	}
-
 	fs := flag.NewFlagSet("stayawaylint", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		list    = fs.Bool("list", false, "list the analyzers and exit")
-		enable  = fs.String("enable", "", "comma-separated analyzer names to run (default: all)")
-		disable = fs.String("disable", "", "comma-separated analyzer names to skip")
-		asJSON  = fs.Bool("json", false, "emit findings as JSON")
-		audit   = fs.Bool("suppressions", false, "audit //lint:stayaway-ignore directives (file, line, analyzer, reason, liveness) instead of reporting findings")
-		dir     = fs.String("C", ".", "directory to resolve package patterns in")
+		asJSON = fs.Bool("json", false, "emit findings as JSON")
+		audit  = fs.Bool("suppressions", false, "list //lint:stayaway-ignore directives (file, line, analyzer, reason, liveness) instead of findings")
+		dir    = fs.String("C", ".", "directory to resolve package patterns in")
 	)
 	fs.Usage = func() {
 		fmt.Fprintf(stderr, "usage: stayawaylint [flags] [package patterns]\n")
@@ -78,24 +49,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return exitError
 	}
-
-	analyzers, err := selectAnalyzers(*enable, *disable)
-	if err != nil {
-		fmt.Fprintf(stderr, "stayawaylint: %v\n", err)
-		return exitError
-	}
-	if *list {
-		for _, a := range analyzers {
-			fmt.Fprintf(stdout, "%-18s %s\n", a.Name, firstLine(a.Doc))
-		}
-		return exitOK
-	}
-
-	// Vet tool protocol: a single *.cfg argument describes one package.
-	if rest := fs.Args(); len(rest) == 1 && strings.HasSuffix(rest[0], ".cfg") {
-		return vetUnit(rest[0], analyzers, stderr)
-	}
-
 	patterns := fs.Args()
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
@@ -105,101 +58,31 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "stayawaylint: %v\n", err)
 		return exitError
 	}
-	if *audit {
-		audits, err := lint.AuditSuppressions(pkgs, analyzers)
-		if err != nil {
-			fmt.Fprintf(stderr, "stayawaylint: %v\n", err)
-			return exitError
-		}
-		return reportSuppressions(audits, *asJSON, stdout, stderr)
-	}
-	findings, err := lint.Run(pkgs, analyzers)
+	findings, sups, err := lint.Run(pkgs, lint.Analyzers())
 	if err != nil {
 		fmt.Fprintf(stderr, "stayawaylint: %v\n", err)
 		return exitError
 	}
+	if *audit {
+		return reportSuppressions(sups, *asJSON, stdout, stderr)
+	}
 	return report(findings, *asJSON, stdout, stderr)
-}
-
-// selectAnalyzers resolves -enable/-disable against the registry.
-func selectAnalyzers(enable, disable string) ([]*analysis.Analyzer, error) {
-	if enable != "" && disable != "" {
-		return nil, fmt.Errorf("-enable and -disable are mutually exclusive")
-	}
-	all := lint.Analyzers()
-	byName := make(map[string]*analysis.Analyzer, len(all))
-	for _, a := range all {
-		byName[a.Name] = a
-	}
-	switch {
-	case enable != "":
-		var out []*analysis.Analyzer
-		for _, name := range strings.Split(enable, ",") {
-			name = strings.TrimSpace(name)
-			a, ok := byName[name]
-			if !ok {
-				return nil, fmt.Errorf("unknown analyzer %q (see -list)", name)
-			}
-			out = append(out, a)
-		}
-		return out, nil
-	case disable != "":
-		skip := make(map[string]bool)
-		for _, name := range strings.Split(disable, ",") {
-			name = strings.TrimSpace(name)
-			if _, ok := byName[name]; !ok {
-				return nil, fmt.Errorf("unknown analyzer %q (see -list)", name)
-			}
-			skip[name] = true
-		}
-		var out []*analysis.Analyzer
-		for _, a := range all {
-			if !skip[a.Name] {
-				out = append(out, a)
-			}
-		}
-		return out, nil
-	default:
-		return all, nil
-	}
 }
 
 func report(findings []lint.Finding, asJSON bool, stdout, stderr io.Writer) int {
 	if asJSON {
-		type jsonEdit struct {
-			Line      int    `json:"line"`
-			Column    int    `json:"column"`
-			EndLine   int    `json:"end_line"`
-			EndColumn int    `json:"end_column"`
-			NewText   string `json:"new_text"`
-		}
-		type jsonFix struct {
-			Message string     `json:"message"`
-			Edits   []jsonEdit `json:"edits"`
-		}
 		type jsonFinding struct {
-			Analyzer string    `json:"analyzer"`
-			File     string    `json:"file"`
-			Line     int       `json:"line"`
-			Column   int       `json:"column"`
-			Message  string    `json:"message"`
-			Fixes    []jsonFix `json:"fixes,omitempty"`
+			Analyzer string `json:"analyzer"`
+			File     string `json:"file"`
+			Line     int    `json:"line"`
+			Column   int    `json:"column"`
+			Message  string `json:"message"`
 		}
 		out := make([]jsonFinding, 0, len(findings))
 		for _, f := range findings {
-			jf := jsonFinding{f.Analyzer, f.Pos.Filename, f.Pos.Line, f.Pos.Column, f.Message, nil}
-			for _, fix := range f.Fixes {
-				jfx := jsonFix{Message: fix.Message}
-				for _, e := range fix.Edits {
-					jfx.Edits = append(jfx.Edits, jsonEdit{e.Pos.Line, e.Pos.Column, e.End.Line, e.End.Column, e.NewText})
-				}
-				jf.Fixes = append(jf.Fixes, jfx)
-			}
-			out = append(out, jf)
+			out = append(out, jsonFinding{f.Analyzer, f.Pos.Filename, f.Pos.Line, f.Pos.Column, f.Message})
 		}
-		enc := json.NewEncoder(stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(out); err != nil {
+		if err := encode(stdout, out); err != nil {
 			fmt.Fprintf(stderr, "stayawaylint: %v\n", err)
 			return exitError
 		}
@@ -219,7 +102,7 @@ func report(findings []lint.Finding, asJSON bool, stdout, stderr io.Writer) int 
 // silences a diagnostic; dead directives are called out so they get
 // deleted rather than lingering to swallow a future, different finding.
 // The audit always exits 0 — it is an artifact, not a gate.
-func reportSuppressions(audits []lint.SuppressionAudit, asJSON bool, stdout, stderr io.Writer) int {
+func reportSuppressions(sups []lint.Suppression, asJSON bool, stdout, stderr io.Writer) int {
 	if asJSON {
 		type jsonSuppression struct {
 			File     string `json:"file"`
@@ -228,128 +111,29 @@ func reportSuppressions(audits []lint.SuppressionAudit, asJSON bool, stdout, std
 			Reason   string `json:"reason"`
 			Used     bool   `json:"used"`
 		}
-		out := make([]jsonSuppression, 0, len(audits))
-		for _, a := range audits {
-			out = append(out, jsonSuppression{a.File, a.Line, a.Analyzer, a.Reason, a.Used})
+		out := make([]jsonSuppression, 0, len(sups))
+		for _, s := range sups {
+			out = append(out, jsonSuppression{s.File, s.Line, s.Analyzer, s.Reason, s.Used})
 		}
-		enc := json.NewEncoder(stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(out); err != nil {
+		if err := encode(stdout, out); err != nil {
 			fmt.Fprintf(stderr, "stayawaylint: %v\n", err)
 			return exitError
 		}
 		return exitOK
 	}
-	for _, a := range audits {
+	for _, s := range sups {
 		status := ""
-		if !a.Used {
+		if !s.Used {
 			status = " [unused — delete this directive]"
 		}
-		fmt.Fprintf(stdout, "%s:%d: %s: %s%s\n", a.File, a.Line, a.Analyzer, a.Reason, status)
+		fmt.Fprintf(stdout, "%s:%d: %s: %s%s\n", s.File, s.Line, s.Analyzer, s.Reason, status)
 	}
-	fmt.Fprintf(stdout, "%d suppression(s)\n", len(audits))
+	fmt.Fprintf(stdout, "%d suppression(s)\n", len(sups))
 	return exitOK
 }
 
-// vetConfig is the JSON the go command hands a -vettool per package.
-type vetConfig struct {
-	Dir         string
-	ImportPath  string
-	GoFiles     []string
-	ImportMap   map[string]string
-	PackageFile map[string]string
-	VetxOnly    bool
-	VetxOutput  string
-
-	SucceedOnTypecheckFailure bool
-}
-
-// vetUnit analyzes the single package a vet .cfg file describes.
-func vetUnit(cfgPath string, analyzers []*analysis.Analyzer, stderr io.Writer) int {
-	data, err := os.ReadFile(cfgPath)
-	if err != nil {
-		fmt.Fprintf(stderr, "stayawaylint: %v\n", err)
-		return exitError
-	}
-	var cfg vetConfig
-	if err := json.Unmarshal(data, &cfg); err != nil {
-		fmt.Fprintf(stderr, "stayawaylint: parsing %s: %v\n", cfgPath, err)
-		return exitError
-	}
-	// The go command requires the facts file to exist afterwards; this
-	// suite exchanges no facts, so an empty one satisfies the protocol.
-	if cfg.VetxOutput != "" {
-		//lint:stayaway-ignore atomicwrite vet facts file, empty and regenerated by the go command every run; not repository state
-		if err := os.WriteFile(cfg.VetxOutput, nil, 0o666); err != nil {
-			fmt.Fprintf(stderr, "stayawaylint: %v\n", err)
-			return exitError
-		}
-	}
-	if cfg.VetxOnly {
-		return exitOK
-	}
-	index := make(load.ExportIndex, len(cfg.PackageFile))
-	for path, file := range cfg.PackageFile {
-		index[path] = file
-	}
-	for from, to := range cfg.ImportMap {
-		if e, ok := index[to]; ok && from != to {
-			index[from] = e
-		}
-	}
-	fset := token.NewFileSet()
-	var files []string
-	for _, f := range cfg.GoFiles {
-		if !filepath.IsAbs(f) {
-			f = filepath.Join(cfg.Dir, f)
-		}
-		files = append(files, f)
-	}
-	pkg, err := load.Check(fset, index.Importer(fset), cfg.ImportPath, files)
-	if err != nil {
-		if cfg.SucceedOnTypecheckFailure {
-			return exitOK
-		}
-		fmt.Fprintf(stderr, "stayawaylint: %v\n", err)
-		return exitError
-	}
-	findings, err := lint.Run([]*load.Package{pkg}, analyzers)
-	if err != nil {
-		fmt.Fprintf(stderr, "stayawaylint: %v\n", err)
-		return exitError
-	}
-	sort.Slice(findings, func(i, j int) bool { return findings[i].Pos.Offset < findings[j].Pos.Offset })
-	for _, f := range findings {
-		fmt.Fprintln(stderr, f)
-	}
-	if len(findings) > 0 {
-		return exitFindings
-	}
-	return exitOK
-}
-
-// selfContentID hashes this executable for the -V=full handshake, so the
-// go command re-runs the analysis when the tool binary changes.
-func selfContentID() string {
-	exe, err := os.Executable()
-	if err != nil {
-		return "unknown"
-	}
-	f, err := os.Open(exe)
-	if err != nil {
-		return "unknown"
-	}
-	defer f.Close()
-	h := sha256.New()
-	if _, err := io.Copy(h, f); err != nil {
-		return "unknown"
-	}
-	return hex.EncodeToString(h.Sum(nil)[:16])
-}
-
-func firstLine(s string) string {
-	if i := strings.IndexByte(s, '\n'); i >= 0 {
-		return s[:i]
-	}
-	return s
+func encode(w io.Writer, v any) error {
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	return enc.Encode(v)
 }

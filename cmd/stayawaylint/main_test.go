@@ -4,105 +4,18 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
-	"regexp"
 	"strings"
 	"testing"
-
-	"repro/internal/lint"
 )
 
-func TestSelectAnalyzersDefaultIsAll(t *testing.T) {
-	got, err := selectAnalyzers("", "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(lint.Analyzers()) {
-		t.Fatalf("got %d analyzers, want %d", len(got), len(lint.Analyzers()))
-	}
-}
-
-func TestSelectAnalyzersEnable(t *testing.T) {
-	got, err := selectAnalyzers("floatcmp, atomicwrite", "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var names []string
-	for _, a := range got {
-		names = append(names, a.Name)
-	}
-	if strings.Join(names, ",") != "floatcmp,atomicwrite" {
-		t.Errorf("enable order not preserved: %v", names)
-	}
-}
-
-func TestSelectAnalyzersDisable(t *testing.T) {
-	got, err := selectAnalyzers("", "failsafe")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(lint.Analyzers())-1 {
-		t.Fatalf("got %d analyzers, want %d", len(got), len(lint.Analyzers())-1)
-	}
-	for _, a := range got {
-		if a.Name == "failsafe" {
-			t.Errorf("disabled analyzer still selected")
-		}
-	}
-}
-
-func TestSelectAnalyzersErrors(t *testing.T) {
-	if _, err := selectAnalyzers("floatcmp", "failsafe"); err == nil {
-		t.Error("enable+disable together: want error")
-	}
-	if _, err := selectAnalyzers("nosuch", ""); err == nil {
-		t.Error("unknown -enable name: want error")
-	}
-	if _, err := selectAnalyzers("", "nosuch"); err == nil {
-		t.Error("unknown -disable name: want error")
-	}
-}
-
-// TestVersionHandshake pins the exact shape cmd/go's toolID() parser
-// expects from a vettool: "<name> version devel buildID=<id>".
-func TestVersionHandshake(t *testing.T) {
-	for _, arg := range []string{"-V=full", "-V"} {
-		var stdout, stderr bytes.Buffer
-		if code := run([]string{arg}, &stdout, &stderr); code != exitOK {
-			t.Fatalf("run(%s) = %d, want %d (stderr: %s)", arg, code, exitOK, stderr.String())
-		}
-		line := strings.TrimSpace(stdout.String())
-		if !regexp.MustCompile(`^stayawaylint version devel buildID=\S+$`).MatchString(line) {
-			t.Errorf("run(%s) printed %q; want 'stayawaylint version devel buildID=<id>'", arg, line)
-		}
-	}
-}
-
-func TestFlagsHandshake(t *testing.T) {
-	var stdout, stderr bytes.Buffer
-	if code := run([]string{"-flags"}, &stdout, &stderr); code != exitOK {
-		t.Fatalf("run(-flags) = %d, want %d", code, exitOK)
-	}
-	if got := strings.TrimSpace(stdout.String()); got != "[]" {
-		t.Errorf("run(-flags) printed %q, want []", got)
-	}
-}
-
-func TestListFlag(t *testing.T) {
-	var stdout, stderr bytes.Buffer
-	if code := run([]string{"-list"}, &stdout, &stderr); code != exitOK {
-		t.Fatalf("run(-list) = %d, want %d", code, exitOK)
-	}
-	for _, a := range lint.Analyzers() {
-		if !strings.Contains(stdout.String(), a.Name) {
-			t.Errorf("-list output missing %s:\n%s", a.Name, stdout.String())
-		}
-	}
-}
-
 func TestBadFlagIsUsageError(t *testing.T) {
-	var stdout, stderr bytes.Buffer
-	if code := run([]string{"-nosuchflag"}, &stdout, &stderr); code != exitError {
-		t.Fatalf("run(-nosuchflag) = %d, want %d", code, exitError)
+	// Only -json, -suppressions and -C exist: the vet-tool handshake and
+	// analyzer selection flags are usage errors like any unknown flag.
+	for _, flag := range []string{"-nosuchflag", "-V=full", "-flags", "-list", "-enable=atomicwrite", "-disable=deadcode"} {
+		var stdout, stderr bytes.Buffer
+		if code := run([]string{flag}, &stdout, &stderr); code != exitError {
+			t.Errorf("run(%s) = %d, want %d", flag, code, exitError)
+		}
 	}
 }
 
@@ -121,7 +34,7 @@ func save(p string, b []byte) error {
 }
 `)
 	var stdout, stderr bytes.Buffer
-	code := run([]string{"-C", dir, "-enable=atomicwrite", "./..."}, &stdout, &stderr)
+	code := run([]string{"-C", dir, "./..."}, &stdout, &stderr)
 	if code != exitFindings {
 		t.Fatalf("run over violating module = %d, want %d (stderr: %s)", code, exitFindings, stderr.String())
 	}
@@ -133,7 +46,7 @@ func save(p string, b []byte) error {
 	// JSON mode reports the same finding on stdout.
 	stdout.Reset()
 	stderr.Reset()
-	code = run([]string{"-C", dir, "-enable=atomicwrite", "-json", "./..."}, &stdout, &stderr)
+	code = run([]string{"-C", dir, "-json", "./..."}, &stdout, &stderr)
 	if code != exitFindings {
 		t.Fatalf("json run = %d, want %d", code, exitFindings)
 	}
@@ -152,6 +65,40 @@ func Nothing() {}
 	var stdout, stderr bytes.Buffer
 	if code := run([]string{"-C", dir, "./..."}, &stdout, &stderr); code != exitOK {
 		t.Fatalf("run over clean module = %d, want %d (stderr: %s)", code, exitOK, stderr.String())
+	}
+}
+
+// TestSuppressionsAudit checks the -suppressions listing: a directive that
+// silences a finding is listed plainly, one that silences nothing is
+// flagged for deletion, and the audit exits 0 either way.
+func TestSuppressionsAudit(t *testing.T) {
+	dir := t.TempDir()
+	writeTestFile(t, filepath.Join(dir, "go.mod"), "module scratch\n\ngo 1.22\n")
+	writeTestFile(t, filepath.Join(dir, "a.go"), `package scratch
+
+import "os"
+
+func save(p string, b []byte) error {
+	//lint:stayaway-ignore atomicwrite scratch output, rewritten every run
+	return os.WriteFile(p, b, 0o644)
+}
+
+//lint:stayaway-ignore determinism nothing here to silence
+func nothing() {}
+`)
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-C", dir, "-suppressions", "./..."}, &stdout, &stderr); code != exitOK {
+		t.Fatalf("audit = %d, want %d (stderr: %s)", code, exitOK, stderr.String())
+	}
+	lines := strings.Split(strings.TrimSpace(stdout.String()), "\n")
+	if len(lines) != 3 || lines[2] != "2 suppression(s)" {
+		t.Fatalf("audit output:\n%s", stdout.String())
+	}
+	if !strings.Contains(lines[0], "a.go:6: atomicwrite: scratch output") || strings.Contains(lines[0], "unused") {
+		t.Errorf("live directive line = %q", lines[0])
+	}
+	if !strings.Contains(lines[1], "a.go:10: determinism:") || !strings.Contains(lines[1], "[unused") {
+		t.Errorf("dead directive line = %q", lines[1])
 	}
 }
 

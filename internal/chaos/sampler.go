@@ -41,6 +41,8 @@ type Sampler struct {
 var _ procenv.Sampler = (*Sampler)(nil)
 
 // NewSampler wraps inner with fault injection.
+//
+//lint:stayaway-ignore deadcode a test helper: fault-injecting sampler shared by the tests of several packages
 func NewSampler(inner procenv.Sampler, cfg SamplerConfig) *Sampler {
 	if cfg.Sleep == nil {
 		cfg.Sleep = time.Sleep

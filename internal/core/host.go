@@ -98,25 +98,8 @@ func (h *HostRuntime) AddLane(cfg Config, sig LaneSignals) (*Lane, error) {
 	if _, dup := h.byApp[cfg.SensitiveApp]; dup {
 		return nil, fmt.Errorf("core: duplicate lane for application %q", cfg.SensitiveApp)
 	}
-	// One container cannot be sensitive on one lane and batch on another:
-	// the second lane would throttle the first lane's protected workload.
-	for _, hl := range h.lanes {
-		if hl.lane.SensitiveID() == cfg.SensitiveID {
-			return nil, fmt.Errorf("core: sensitive container %q already owned by lane %q",
-				cfg.SensitiveID, hl.lane.App())
-		}
-		for _, id := range cfg.BatchIDs {
-			if id == hl.lane.SensitiveID() {
-				return nil, fmt.Errorf("core: container %q is lane %q's sensitive app, cannot be batch",
-					id, hl.lane.App())
-			}
-		}
-		for _, id := range hl.lane.cfg.BatchIDs {
-			if id == cfg.SensitiveID {
-				return nil, fmt.Errorf("core: container %q is lane %q's batch, cannot be sensitive",
-					cfg.SensitiveID, hl.lane.App())
-			}
-		}
+	if err := h.checkCollisions(cfg, nil); err != nil {
+		return nil, err
 	}
 	lane, err := NewLane(cfg, h.arbiter.Lane(cfg.SensitiveApp))
 	if err != nil {
@@ -130,6 +113,35 @@ func (h *HostRuntime) AddLane(cfg Config, sig LaneSignals) (*Lane, error) {
 	h.lanes = append(h.lanes, hl)
 	h.byApp[cfg.SensitiveApp] = hl
 	return lane, nil
+}
+
+// checkCollisions rejects cfg when one of its containers has the other
+// role on a lane other than exempt: one container cannot be sensitive on
+// one lane and batch on another, or the second lane would throttle the
+// first lane's protected workload.
+func (h *HostRuntime) checkCollisions(cfg Config, exempt *hostLane) error {
+	for _, hl := range h.lanes {
+		if hl == exempt {
+			continue
+		}
+		if hl.lane.SensitiveID() == cfg.SensitiveID {
+			return fmt.Errorf("core: sensitive container %q already owned by lane %q",
+				cfg.SensitiveID, hl.lane.App())
+		}
+		for _, id := range cfg.BatchIDs {
+			if id == hl.lane.SensitiveID() {
+				return fmt.Errorf("core: container %q is lane %q's sensitive app, cannot be batch",
+					id, hl.lane.App())
+			}
+		}
+		for _, id := range hl.lane.cfg.BatchIDs {
+			if id == cfg.SensitiveID {
+				return fmt.Errorf("core: container %q is lane %q's batch, cannot be sensitive",
+					cfg.SensitiveID, hl.lane.App())
+			}
+		}
+	}
+	return nil
 }
 
 // RemoveLane drains and removes the named lane. Like AddLane it is a
@@ -188,28 +200,9 @@ func (h *HostRuntime) ReconfigureLane(cfg Config, sig LaneSignals) (*Lane, bool,
 	if !ok {
 		return nil, false, fmt.Errorf("core: no lane for application %q", cfg.SensitiveApp)
 	}
-	// Cross-lane collision checks against the survivors (the lane being
-	// replaced is exempt — it is on its way out).
-	for _, hl := range h.lanes {
-		if hl == old {
-			continue
-		}
-		if hl.lane.SensitiveID() == cfg.SensitiveID {
-			return nil, false, fmt.Errorf("core: sensitive container %q already owned by lane %q",
-				cfg.SensitiveID, hl.lane.App())
-		}
-		for _, id := range cfg.BatchIDs {
-			if id == hl.lane.SensitiveID() {
-				return nil, false, fmt.Errorf("core: container %q is lane %q's sensitive app, cannot be batch",
-					id, hl.lane.App())
-			}
-		}
-		for _, id := range hl.lane.cfg.BatchIDs {
-			if id == cfg.SensitiveID {
-				return nil, false, fmt.Errorf("core: container %q is lane %q's batch, cannot be sensitive",
-					cfg.SensitiveID, hl.lane.App())
-			}
-		}
+	// The lane being replaced is exempt: it is on its way out.
+	if err := h.checkCollisions(cfg, old); err != nil {
+		return nil, false, err
 	}
 	lane, err := NewLane(cfg, h.arbiter.Lane(cfg.SensitiveApp))
 	if err != nil {

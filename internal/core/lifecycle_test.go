@@ -173,6 +173,67 @@ func TestHostReconfigureLaneCarriesState(t *testing.T) {
 	}
 }
 
+// TestHostReconfigureLaneCollisions checks the cross-lane container rules
+// on reconfiguration: each collision with a surviving lane is rejected
+// and leaves the running lane and its restrictions untouched, while the
+// lane's own old containers are free to reuse.
+func TestHostReconfigureLaneCollisions(t *testing.T) {
+	env := &fakeHostEnv{script: []hostStep{
+		colocated(100, 300, 50, false, false),
+		colocated(100, 300, 200, false, true), // kv violates → freezes the pool
+	}}
+	act := throttle.NewRecordingActuator()
+	h := newTwoLaneHost(t, env, act)
+	for i := 0; i < 2; i++ {
+		if _, err := h.Period(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	running := h.Lane("kv-app")
+	paused := act.Paused()
+	if len(paused) != 2 {
+		t.Fatalf("paused = %v, want the shared pool frozen by kv-app", paused)
+	}
+
+	batchWeb := laneConfig("kv", "kv-app")
+	batchWeb.BatchIDs = []string{"b1", "web"}
+	sensitiveB1 := laneConfig("b1", "kv-app")
+	sensitiveB1.BatchIDs = []string{"b2"}
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		want string
+	}{
+		{"sensitive owned by web-app", laneConfig("web", "kv-app"), `sensitive container "web" already owned by lane "web-app"`},
+		{"web-app's sensitive as batch", batchWeb, `container "web" is lane "web-app"'s sensitive app, cannot be batch`},
+		{"web-app's batch as sensitive", sensitiveB1, `container "b1" is lane "web-app"'s batch, cannot be sensitive`},
+	} {
+		_, _, err := h.ReconfigureLane(tc.cfg, laneSig{env, "kv-app"})
+		if err == nil || err.Error() != "core: "+tc.want {
+			t.Errorf("%s: err = %v, want %q", tc.name, err, tc.want)
+		}
+		if h.Lane("kv-app") != running {
+			t.Fatalf("%s: rejected reconfigure replaced the running lane", tc.name)
+		}
+		if got := act.Paused(); len(got) != len(paused) {
+			t.Fatalf("%s: paused = %v after a rejected reconfigure, want %v", tc.name, got, paused)
+		}
+		if got := h.Restricting(); len(got["b1"]) != 1 || got["b1"][0] != "kv-app" {
+			t.Fatalf("%s: restricting = %v, want kv-app alone on b1", tc.name, got)
+		}
+	}
+
+	// The lane's own sensitive and batch containers collide only with
+	// itself, and the lane being replaced is exempt.
+	lane, _, err := h.ReconfigureLane(laneConfig("kv", "kv-app"), laneSig{env, "kv-app"})
+	if err != nil {
+		t.Fatalf("reconfigure onto the lane's own containers: %v", err)
+	}
+	if lane == running || h.Lane("kv-app") != lane {
+		t.Fatal("accepted reconfigure did not swap in the new lane")
+	}
+}
+
 func TestHostHealth(t *testing.T) {
 	env := &fakeHostEnv{script: []hostStep{
 		colocated(100, 300, 50, false, false),

@@ -210,10 +210,10 @@ func TestRunValidation(t *testing.T) {
 	f := newFixture(t, true, healthy, "vlc")
 	f.wire(t, nil)
 	for name, mutate := range map[string]func(*Config){
-		"no environment":  func(c *Config) { c.Env = nil },
-		"no actuator":     func(c *Config) { c.Actuator = nil },
-		"no release":      func(c *Config) { c.Release = nil },
-		"no lanes":        func(c *Config) { c.Lanes = LaneSet{} },
+		"no environment": func(c *Config) { c.Env = nil },
+		"no actuator":    func(c *Config) { c.Actuator = nil },
+		"no release":     func(c *Config) { c.Release = nil },
+		"no lanes":       func(c *Config) { c.Lanes = LaneSet{} },
 		"reload without a collector": func(c *Config) {
 			c.LanesFile, c.Groups = "lanes.json", nil
 		},

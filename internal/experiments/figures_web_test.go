@@ -95,23 +95,3 @@ func TestSummarySpread(t *testing.T) {
 		t.Errorf("spread %v–%v too narrow", minG, maxG)
 	}
 }
-
-func TestAllFigures(t *testing.T) {
-	figs, err := AllFigures(figSeed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(figs) != 16 {
-		t.Fatalf("figures = %d, want 16", len(figs))
-	}
-	seen := map[string]bool{}
-	for _, f := range figs {
-		if f.ID == "" || f.Text == "" {
-			t.Errorf("figure %q incomplete", f.ID)
-		}
-		if seen[f.ID] {
-			t.Errorf("duplicate figure ID %q", f.ID)
-		}
-		seen[f.ID] = true
-	}
-}

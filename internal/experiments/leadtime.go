@@ -23,6 +23,8 @@ type LeadTimeStats struct {
 // LeadTimes computes, for every violation tick, the length of the
 // consecutive run of predicted ticks immediately before it. The tick of
 // the violation itself does not count toward its lead.
+//
+//lint:stayaway-ignore deadcode its caller is the bench harness, a separate module that ./... does not load
 func LeadTimes(records []TickRecord) LeadTimeStats {
 	var st LeadTimeStats
 	var total int

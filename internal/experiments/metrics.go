@@ -30,15 +30,6 @@ func GainSeries(records []TickRecord) []float64 {
 	return out
 }
 
-// UtilizationSeries returns machine utilization per tick.
-func UtilizationSeries(records []TickRecord) []float64 {
-	out := make([]float64, len(records))
-	for i, r := range records {
-		out[i] = r.Utilization
-	}
-	return out
-}
-
 // ThrottleSeries returns 1 for throttled ticks, 0 otherwise.
 func ThrottleSeries(records []TickRecord) []float64 {
 	out := make([]float64, len(records))

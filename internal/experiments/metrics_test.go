@@ -30,10 +30,6 @@ func TestGainAndUtilSeries(t *testing.T) {
 	if g[0] != 0.2 || g[1] != 0.7 {
 		t.Errorf("gain = %v", g)
 	}
-	u := UtilizationSeries(records)
-	if u[0] != 0.5 || u[1] != 0.9 {
-		t.Errorf("util = %v", u)
-	}
 	th := ThrottleSeries(records)
 	if th[0] != 1 || th[1] != 0 {
 		t.Errorf("throttle = %v", th)

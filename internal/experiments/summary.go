@@ -65,27 +65,3 @@ func Summary(seed int64) (*Figure, error) {
 		Summary: summary,
 	}, nil
 }
-
-// AllFigures runs every figure in order and returns them. Fig17's template
-// is regenerated inside Fig18; callers that need the template itself
-// should call Fig17 directly.
-func AllFigures(seed int64) ([]*Figure, error) {
-	type gen func(int64) (*Figure, error)
-	gens := []gen{
-		Fig01,
-		func(int64) (*Figure, error) { return Fig04() },
-		Fig05, Fig06, Fig07, Fig08, Fig09, Fig10, Fig11, Fig12, Fig13,
-		Fig14, Fig15, Fig16,
-		func(s int64) (*Figure, error) { f, _, err := Fig17(s); return f, err },
-		Fig18,
-	}
-	out := make([]*Figure, 0, len(gens))
-	for _, g := range gens {
-		f, err := g(seed)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, f)
-	}
-	return out, nil
-}

@@ -2,7 +2,9 @@
 // golang.org/x/tools/go/analysis: enough surface for stayawaylint's
 // analyzers to be written in the standard shape, so that a future move
 // onto the real framework (once the module is vendorable in this build
-// environment) is a mechanical import swap rather than a rewrite.
+// environment) is close to an import swap. The one addition is
+// Pass.Referenced: deadcode needs to know what the package's importers
+// use, which x/tools' dependency-ordered facts cannot carry.
 package analysis
 
 import (
@@ -16,23 +18,16 @@ import (
 // type-checked package via the Pass and reports findings through
 // Pass.Report; it must not retain the Pass after returning.
 type Analyzer struct {
-	// Name identifies the analyzer in diagnostics, command-line flags and
+	// Name identifies the analyzer in diagnostics and
 	// //lint:stayaway-ignore directives. It must be a valid identifier.
 	Name string
-	// Doc is the one-paragraph help text: first line is a summary, the
-	// rest explains the invariant the analyzer enforces.
-	Doc string
 	// Run performs the analysis. The returned value is unused by this
 	// driver (it exists for x/tools signature compatibility).
 	Run func(*Pass) (any, error)
 }
 
-func (a *Analyzer) String() string { return a.Name }
-
 // Pass carries one package's syntax and type information to an analyzer.
 type Pass struct {
-	// Analyzer is the analyzer being run.
-	Analyzer *Analyzer
 	// Fset maps token positions to file locations.
 	Fset *token.FileSet
 	// Files are the package's parsed source files, with comments.
@@ -41,6 +36,11 @@ type Pass struct {
 	Pkg *types.Package
 	// TypesInfo holds Uses, Defs, Types and Selections for the package.
 	TypesInfo *types.Info
+	// Referenced reports whether some non-test file of the module refers
+	// to the package-level object obj from outside obj's own declaration.
+	// It answers for the whole run, not just this package, and answers
+	// true when the run leaves out a package that could refer to obj.
+	Referenced func(obj types.Object) bool
 	// Report delivers one diagnostic.
 	Report func(Diagnostic)
 }
@@ -50,29 +50,8 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	p.Report(Diagnostic{Pos: pos, Message: fmt.Sprintf(format, args...)})
 }
 
-// Diagnostic is one finding at a source position. SuggestedFixes, when
-// present, carry machine-applicable rewrites that would resolve the
-// finding; drivers surface them (e.g. in JSON output) but never apply
-// them automatically.
+// Diagnostic is one finding at a source position.
 type Diagnostic struct {
-	Pos            token.Pos
-	Message        string
-	SuggestedFixes []SuggestedFix
-}
-
-// SuggestedFix is one self-contained rewrite that resolves a
-// diagnostic. Its edits must be applied together or not at all, and
-// must not overlap.
-type SuggestedFix struct {
-	// Message describes the rewrite ("replace with epsilon comparison").
-	Message string
-	// TextEdits are the concrete replacements.
-	TextEdits []TextEdit
-}
-
-// TextEdit replaces the source range [Pos, End) with NewText.
-type TextEdit struct {
 	Pos     token.Pos
-	End     token.Pos
-	NewText []byte
+	Message string
 }

@@ -19,7 +19,6 @@ import (
 // different, individually-audited crash contracts.
 var AtomicWriteAnalyzer = &analysis.Analyzer{
 	Name: "atomicwrite",
-	Doc:  "state files must be written through internal/fsatomic, not raw os.WriteFile/os.Create/os.Rename",
 	Run:  runAtomicWrite,
 }
 

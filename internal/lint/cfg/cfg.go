@@ -102,28 +102,6 @@ func (g *CFG) Reachable() map[*Block]bool {
 	return seen
 }
 
-// CanReach reports whether to is reachable from from (inclusive).
-func (g *CFG) CanReach(from, to *Block) bool {
-	seen := make(map[*Block]bool)
-	var walk func(*Block) bool
-	walk = func(b *Block) bool {
-		if b == to {
-			return true
-		}
-		if seen[b] {
-			return false
-		}
-		seen[b] = true
-		for _, s := range b.Succs {
-			if walk(s) {
-				return true
-			}
-		}
-		return false
-	}
-	return walk(from)
-}
-
 // String renders the graph for debugging and tests.
 func (g *CFG) String() string {
 	var sb strings.Builder

@@ -32,9 +32,29 @@ func blocksWith(g *CFG, kind string) []*Block {
 	return out
 }
 
+// canReach reports whether to is reachable from from (inclusive).
+func canReach(from, to *Block) bool {
+	seen := map[*Block]bool{from: true}
+	work := []*Block{from}
+	for len(work) > 0 {
+		b := work[0]
+		work = work[1:]
+		if b == to {
+			return true
+		}
+		for _, s := range b.Succs {
+			if !seen[s] {
+				seen[s] = true
+				work = append(work, s)
+			}
+		}
+	}
+	return false
+}
+
 func TestStraightLineReachesExit(t *testing.T) {
 	g := build(t, "x := 1\n_ = x")
-	if !g.CanReach(g.Entry, g.Exit) {
+	if !canReach(g.Entry, g.Exit) {
 		t.Fatalf("entry cannot reach exit:\n%s", g)
 	}
 	if g.Reachable()[g.Panic] {
@@ -61,13 +81,13 @@ work()`)
 	if len(joins) != 1 {
 		t.Fatalf("want 1 reachable if.join, got %d:\n%s", len(joins), g)
 	}
-	if g.CanReach(thens[0], joins[0]) {
+	if canReach(thens[0], joins[0]) {
 		t.Errorf("then-branch with return still reaches join:\n%s", g)
 	}
-	if !g.CanReach(thens[0], g.Exit) {
+	if !canReach(thens[0], g.Exit) {
 		t.Errorf("then-branch return does not reach exit:\n%s", g)
 	}
-	if !g.CanReach(joins[0], g.Exit) {
+	if !canReach(joins[0], g.Exit) {
 		t.Errorf("fall-through does not reach exit:\n%s", g)
 	}
 }
@@ -86,7 +106,7 @@ work()`)
 	if len(thens) != 1 {
 		t.Fatalf("want 1 if.then, got %d", len(thens))
 	}
-	if g.CanReach(thens[0], g.Exit) {
+	if canReach(thens[0], g.Exit) {
 		t.Errorf("panic path reaches the normal exit:\n%s", g)
 	}
 }
@@ -108,10 +128,10 @@ done()`)
 	}
 	// Back edge: body reaches head again (through for.post).
 	bodies := blocksWith(g, "for.body")
-	if len(bodies) != 1 || !g.CanReach(bodies[0], head) {
+	if len(bodies) != 1 || !canReach(bodies[0], head) {
 		t.Errorf("loop body has no back edge to head:\n%s", g)
 	}
-	if !g.CanReach(g.Entry, g.Exit) {
+	if !canReach(g.Entry, g.Exit) {
 		t.Errorf("bounded loop cannot reach exit:\n%s", g)
 	}
 }
@@ -121,7 +141,7 @@ func TestUnconditionalLoopHasNoExit(t *testing.T) {
 for {
 	work()
 }`)
-	if g.CanReach(g.Entry, g.Exit) {
+	if canReach(g.Entry, g.Exit) {
 		t.Errorf("for{} without break reaches exit:\n%s", g)
 	}
 }
@@ -134,7 +154,7 @@ for {
 	}
 	work()
 }`)
-	if !g.CanReach(g.Entry, g.Exit) {
+	if !canReach(g.Entry, g.Exit) {
 		t.Errorf("break does not restore the exit path:\n%s", g)
 	}
 }
@@ -146,7 +166,7 @@ func TestRangeLoopAlwaysHasExit(t *testing.T) {
 for v := range ch {
 	use(v)
 }`)
-	if !g.CanReach(g.Entry, g.Exit) {
+	if !canReach(g.Entry, g.Exit) {
 		t.Errorf("range loop cannot reach exit:\n%s", g)
 	}
 	heads := blocksWith(g, "range.head")
@@ -163,7 +183,7 @@ for {
 		work()
 	}
 }`)
-	if g.CanReach(g.Entry, g.Exit) {
+	if canReach(g.Entry, g.Exit) {
 		t.Errorf("loop around exit-less select reaches exit:\n%s", g)
 	}
 }
@@ -178,14 +198,14 @@ for {
 		work()
 	}
 }`)
-	if !g.CanReach(g.Entry, g.Exit) {
+	if !canReach(g.Entry, g.Exit) {
 		t.Errorf("select return case does not reach exit:\n%s", g)
 	}
 }
 
 func TestEmptySelectBlocksForever(t *testing.T) {
 	g := build(t, "select {}\nwork()")
-	if g.CanReach(g.Entry, g.Exit) {
+	if canReach(g.Entry, g.Exit) {
 		t.Errorf("select{} falls through:\n%s", g)
 	}
 }
@@ -202,7 +222,7 @@ default:
 	c()
 }
 done()`)
-	if !g.CanReach(g.Entry, g.Exit) {
+	if !canReach(g.Entry, g.Exit) {
 		t.Fatalf("switch cannot reach exit:\n%s", g)
 	}
 	// Fallthrough: the case-0 block's successor set includes the case-1
@@ -246,7 +266,7 @@ for {
 	}
 }
 done()`)
-	if !g.CanReach(g.Entry, g.Exit) {
+	if !canReach(g.Entry, g.Exit) {
 		t.Errorf("labeled break does not escape both loops:\n%s", g)
 	}
 }
@@ -260,7 +280,7 @@ for {
 	}
 }
 done()`)
-	if g.CanReach(g.Entry, g.Exit) {
+	if canReach(g.Entry, g.Exit) {
 		t.Errorf("continue outer must not create an exit path:\n%s", g)
 	}
 }
@@ -277,7 +297,7 @@ loop:
 	unreachable()
 end:
 	done()`)
-	if !g.CanReach(g.Entry, g.Exit) {
+	if !canReach(g.Entry, g.Exit) {
 		t.Fatalf("goto end does not reach exit:\n%s", g)
 	}
 	// The statement after `goto end` is dead: its block has no preds.
@@ -314,7 +334,7 @@ for i := 0; i < 10; i++ {
 	}
 }`)
 	// Two distinct paths to exit: the early return and loop completion.
-	if !g.CanReach(g.Entry, g.Exit) {
+	if !canReach(g.Entry, g.Exit) {
 		t.Fatalf("no exit path:\n%s", g)
 	}
 	exitPreds := len(g.Exit.Preds)

@@ -29,7 +29,6 @@ import (
 // then sorts is fine and not flagged.
 var DeterminismAnalyzer = &analysis.Analyzer{
 	Name: "determinism",
-	Doc:  "mapping/prediction packages must be deterministic: no wall clock, no global rand, no map-ordered output",
 	Run:  runDeterminism,
 }
 

@@ -4,11 +4,9 @@ import (
 	"fmt"
 	"go/ast"
 	"go/token"
-	"sort"
 	"strings"
 
 	"repro/internal/lint/analysis"
-	"repro/internal/lint/load"
 )
 
 // DirectivePrefix introduces a suppression comment. The full grammar is
@@ -36,6 +34,11 @@ type Suppression struct {
 	Analyzer string
 	// Reason is the mandatory justification text.
 	Reason string
+	// Used is set by Run when the directive silenced at least one
+	// diagnostic. A directive left unused no longer matches the code it
+	// acknowledged and should be deleted before it silently swallows a
+	// future, different finding.
+	Used bool
 }
 
 // Covers reports whether a diagnostic from analyzer at (file, line) is
@@ -43,71 +46,6 @@ type Suppression struct {
 func (s Suppression) Covers(analyzer, file string, line int) bool {
 	return s.Analyzer == analyzer && s.File == file &&
 		(line == s.Line || line == s.Line+1)
-}
-
-// SuppressionAudit is one parsed directive plus its liveness: whether it
-// still silences at least one diagnostic in the current tree.
-type SuppressionAudit struct {
-	Suppression
-	// Used reports whether any analyzer diagnostic in this run fell under
-	// the directive. A false here means the code the directive acknowledged
-	// has changed shape — the suppression is dead weight and should be
-	// deleted before it silently swallows a future, different finding.
-	Used bool
-}
-
-// AuditSuppressions parses every well-formed directive in pkgs and re-runs
-// the analyzers with suppression disabled, marking each directive that
-// still covers a diagnostic. The result, sorted by file and line, is the
-// CI audit artifact that keeps acknowledged debt from outliving the code
-// it acknowledged. Malformed directives are ignored here; Run reports
-// them as findings.
-func AuditSuppressions(pkgs []*load.Package, analyzers []*analysis.Analyzer) ([]SuppressionAudit, error) {
-	known := make(map[string]bool, len(analyzers))
-	for _, a := range analyzers {
-		known[a.Name] = true
-	}
-	var audits []SuppressionAudit
-	for _, pkg := range pkgs {
-		var sups []Suppression
-		for _, f := range pkg.Syntax {
-			sups = append(sups, fileSuppressions(pkg.Fset, f, known, func(analysis.Diagnostic) {})...)
-		}
-		if len(sups) == 0 {
-			continue
-		}
-		used := make([]bool, len(sups))
-		for _, a := range analyzers {
-			pass := &analysis.Pass{
-				Analyzer:  a,
-				Fset:      pkg.Fset,
-				Files:     pkg.Syntax,
-				Pkg:       pkg.Types,
-				TypesInfo: pkg.TypesInfo,
-			}
-			pass.Report = func(d analysis.Diagnostic) {
-				pos := pkg.Fset.Position(d.Pos)
-				for i, s := range sups {
-					if s.Covers(a.Name, pos.Filename, pos.Line) {
-						used[i] = true
-					}
-				}
-			}
-			if _, err := a.Run(pass); err != nil {
-				return nil, err
-			}
-		}
-		for i, s := range sups {
-			audits = append(audits, SuppressionAudit{Suppression: s, Used: used[i]})
-		}
-	}
-	sort.Slice(audits, func(i, j int) bool {
-		if audits[i].File != audits[j].File {
-			return audits[i].File < audits[j].File
-		}
-		return audits[i].Line < audits[j].Line
-	})
-	return audits, nil
 }
 
 // parseDirective splits one comment's text. ok is false when the comment

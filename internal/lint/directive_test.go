@@ -20,9 +20,9 @@ func TestParseDirective(t *testing.T) {
 	}{
 		{
 			name:     "well formed",
-			text:     "//lint:stayaway-ignore floatcmp exact round-trip identity check",
+			text:     "//lint:stayaway-ignore determinism exact round-trip identity check",
 			ok:       true,
-			analyzer: "floatcmp",
+			analyzer: "determinism",
 			reason:   "exact round-trip identity check",
 		},
 		{
@@ -44,7 +44,7 @@ func TestParseDirective(t *testing.T) {
 		},
 		{
 			name: "prefix glued to other text",
-			text: "//lint:stayaway-ignoreX floatcmp reason",
+			text: "//lint:stayaway-ignoreX determinism reason",
 			ok:   false,
 		},
 		{
@@ -55,9 +55,9 @@ func TestParseDirective(t *testing.T) {
 		},
 		{
 			name:     "missing reason",
-			text:     "//lint:stayaway-ignore floatcmp",
+			text:     "//lint:stayaway-ignore determinism",
 			ok:       true,
-			analyzer: "floatcmp",
+			analyzer: "determinism",
 			problem:  "missing reason (a justification is mandatory)",
 		},
 	}
@@ -78,10 +78,10 @@ func TestParseDirective(t *testing.T) {
 func TestFileSuppressions(t *testing.T) {
 	const src = `package p
 
-//lint:stayaway-ignore floatcmp config identity check
+//lint:stayaway-ignore determinism config identity check
 var a = 1
 
-//lint:stayaway-ignore floatcmp
+//lint:stayaway-ignore determinism
 var b = 2
 
 //lint:stayaway-ignore bogus some reason
@@ -93,7 +93,7 @@ var c = 3
 		t.Fatal(err)
 	}
 	var diags []analysis.Diagnostic
-	known := map[string]bool{"floatcmp": true}
+	known := map[string]bool{"determinism": true}
 	sups := fileSuppressions(fset, f, known, func(d analysis.Diagnostic) {
 		diags = append(diags, d)
 	})
@@ -102,7 +102,7 @@ var c = 3
 		t.Fatalf("got %d suppressions, want 1: %+v", len(sups), sups)
 	}
 	s := sups[0]
-	if s.Analyzer != "floatcmp" || s.Line != 3 || s.File != "p.go" || s.Reason != "config identity check" {
+	if s.Analyzer != "determinism" || s.Line != 3 || s.File != "p.go" || s.Reason != "config identity check" {
 		t.Errorf("unexpected suppression: %+v", s)
 	}
 
@@ -118,19 +118,19 @@ var c = 3
 }
 
 func TestSuppressionCovers(t *testing.T) {
-	s := Suppression{File: "a.go", Line: 10, Analyzer: "floatcmp", Reason: "r"}
+	s := Suppression{File: "a.go", Line: 10, Analyzer: "determinism", Reason: "r"}
 	tests := []struct {
 		analyzer string
 		file     string
 		line     int
 		want     bool
 	}{
-		{"floatcmp", "a.go", 10, true},  // same line (trailing directive)
-		{"floatcmp", "a.go", 11, true},  // next line (preceding directive)
-		{"floatcmp", "a.go", 12, false}, // two lines below
-		{"floatcmp", "a.go", 9, false},  // line above
+		{"determinism", "a.go", 10, true},  // same line (trailing directive)
+		{"determinism", "a.go", 11, true},  // next line (preceding directive)
+		{"determinism", "a.go", 12, false}, // two lines below
+		{"determinism", "a.go", 9, false},  // line above
 		{"atomicwrite", "a.go", 10, false},
-		{"floatcmp", "b.go", 10, false},
+		{"determinism", "b.go", 10, false},
 	}
 	for _, tt := range tests {
 		if got := s.Covers(tt.analyzer, tt.file, tt.line); got != tt.want {

@@ -38,7 +38,6 @@ import (
 // protocol and is not flagged.
 var FailsafeAnalyzer = &analysis.Analyzer{
 	Name: "failsafe",
-	Doc:  "exported core/throttle entry points must release acquired restrictions on every exit path, including panics; release on all paths or via defer",
 	Run:  runFailsafe,
 }
 

@@ -1,21 +1,22 @@
-// Package analysistest runs a single analyzer over golden packages under
-// a testdata directory and checks its diagnostics against // want
-// comments, in the style of golang.org/x/tools/go/analysis/analysistest.
+package lint_test
+
+// The golden-package harness, in the style of
+// golang.org/x/tools/go/analysis/analysistest: an analyzer runs through
+// lint.Run over packages under testdata/src, and its findings are checked
+// against `// want` comments.
 //
-// Layout mirrors a GOPATH: testdata/src/<import/path>/*.go. Imports are
-// resolved testdata-first — so golden packages can import small fakes of
-// repository packages (e.g. "repro/internal/throttle") without depending
-// on the real ones — and fall back to the standard library via compiled
-// export data obtained from `go list -export`.
+// The layout mirrors a GOPATH: testdata/src/<import/path>/*.go, test
+// files included. Imports resolve testdata-first — so golden packages can
+// import small fakes of repository packages (e.g. "repro/internal/throttle")
+// without depending on the real ones — and fall back to the standard
+// library through compiled export data from `go list -export`.
 //
-// A want comment asserts diagnostics on its own line:
+// A want comment asserts findings on its own line:
 //
 //	act.Pause(ids) // want `bypasses the actuation ledger`
 //
 // Every quoted or backquoted pattern must match (as an unanchored regexp)
-// a diagnostic reported on that line, and every diagnostic must be
-// claimed by some pattern.
-package analysistest
+// a finding on that line, and every finding must be claimed by a pattern.
 
 import (
 	"fmt"
@@ -29,41 +30,31 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/lint"
 	"repro/internal/lint/analysis"
 	"repro/internal/lint/load"
 )
 
-// Run analyzes each golden package (an import path under testdata/src)
-// with a and reports mismatches against its want comments through t.
-// It returns the loaded packages so callers can run further checks (e.g.
-// suppression handling) over the same trees.
-func Run(t *testing.T, testdata string, a *analysis.Analyzer, pkgPaths ...string) []*load.Package {
+// golden runs a over the golden packages and checks its findings against
+// their want comments. It returns the run's suppression record.
+func golden(t *testing.T, a *analysis.Analyzer, pkgPaths ...string) []lint.Suppression {
 	t.Helper()
-	r := &resolver{
-		root:  filepath.Join(testdata, "src"),
-		fset:  token.NewFileSet(),
-		cache: make(map[string]*load.Package),
+	pkgs := loadGolden(t, pkgPaths...)
+	findings, sups, err := lint.Run(pkgs, []*analysis.Analyzer{a})
+	if err != nil {
+		t.Fatalf("lint.Run: %v", err)
 	}
-	var out []*load.Package
-	for _, path := range pkgPaths {
-		pkg, err := r.load(path)
-		if err != nil {
-			t.Errorf("loading %s: %v", path, err)
-			continue
-		}
-		out = append(out, pkg)
-		check(t, a, pkg)
-	}
-	return out
+	checkWants(t, pkgs, findings)
+	return sups
 }
 
-// Load loads golden packages without running any analyzer or checking
-// want comments. Use it to feed testdata trees to lint.Run directly,
-// e.g. for suppression-directive integration tests.
-func Load(t *testing.T, testdata string, pkgPaths ...string) []*load.Package {
+// loadGolden type-checks golden packages without running any analyzer.
+// Each package's ImportedBy lists the golden packages loaded alongside it
+// (as requested packages or their imports) that import it.
+func loadGolden(t *testing.T, pkgPaths ...string) []*load.Package {
 	t.Helper()
 	r := &resolver{
-		root:  filepath.Join(testdata, "src"),
+		root:  filepath.Join("testdata", "src"),
 		fset:  token.NewFileSet(),
 		cache: make(map[string]*load.Package),
 	}
@@ -75,51 +66,43 @@ func Load(t *testing.T, testdata string, pkgPaths ...string) []*load.Package {
 		}
 		out = append(out, pkg)
 	}
+	for _, p := range r.cache {
+		for _, imp := range p.Types.Imports() {
+			if q, ok := r.cache[imp.Path()]; ok {
+				q.ImportedBy = append(q.ImportedBy, p.PkgPath)
+			}
+		}
+	}
 	return out
 }
 
-// check runs the analyzer raw (no suppression filtering) and diffs the
-// diagnostics against the package's want comments.
-func check(t *testing.T, a *analysis.Analyzer, pkg *load.Package) {
+// checkWants diffs findings against the packages' want comments.
+func checkWants(t *testing.T, pkgs []*load.Package, findings []lint.Finding) {
 	t.Helper()
-	var diags []analysis.Diagnostic
-	pass := &analysis.Pass{
-		Analyzer:  a,
-		Fset:      pkg.Fset,
-		Files:     pkg.Syntax,
-		Pkg:       pkg.Types,
-		TypesInfo: pkg.TypesInfo,
-		Report:    func(d analysis.Diagnostic) { diags = append(diags, d) },
-	}
-	if _, err := a.Run(pass); err != nil {
-		t.Errorf("%s: analyzer error: %v", pkg.PkgPath, err)
-		return
-	}
-
 	type key struct {
 		file string
 		line int
 	}
 	wants := make(map[key][]*regexp.Regexp)
-	wantSrc := make(map[key][]string)
-	for _, f := range pkg.Syntax {
-		for _, cg := range f.Comments {
-			for _, c := range cg.List {
-				patterns, err := wantPatterns(c.Text)
-				if err != nil {
-					t.Errorf("%s: %v", pkg.Fset.Position(c.Pos()), err)
-					continue
-				}
-				pos := pkg.Fset.Position(c.Pos())
-				k := key{pos.Filename, pos.Line}
-				for _, p := range patterns {
-					rx, err := regexp.Compile(p)
+	for _, pkg := range pkgs {
+		for _, f := range pkg.Syntax {
+			for _, cg := range f.Comments {
+				for _, c := range cg.List {
+					patterns, err := wantPatterns(c.Text)
 					if err != nil {
-						t.Errorf("%s: bad want pattern %q: %v", pos, p, err)
+						t.Errorf("%s: %v", pkg.Fset.Position(c.Pos()), err)
 						continue
 					}
-					wants[k] = append(wants[k], rx)
-					wantSrc[k] = append(wantSrc[k], p)
+					pos := pkg.Fset.Position(c.Pos())
+					k := key{pos.Filename, pos.Line}
+					for _, p := range patterns {
+						rx, err := regexp.Compile(p)
+						if err != nil {
+							t.Errorf("%s: bad want pattern %q: %v", pos, p, err)
+							continue
+						}
+						wants[k] = append(wants[k], rx)
+					}
 				}
 			}
 		}
@@ -129,18 +112,17 @@ func check(t *testing.T, a *analysis.Analyzer, pkg *load.Package) {
 	for k, rxs := range wants {
 		matched[k] = make([]bool, len(rxs))
 	}
-	for _, d := range diags {
-		pos := pkg.Fset.Position(d.Pos)
-		k := key{pos.Filename, pos.Line}
+	for _, f := range findings {
+		k := key{f.Pos.Filename, f.Pos.Line}
 		claimed := false
 		for i, rx := range wants[k] {
-			if rx.MatchString(d.Message) {
+			if rx.MatchString(f.Message) {
 				matched[k][i] = true
 				claimed = true
 			}
 		}
 		if !claimed {
-			t.Errorf("%s: unexpected diagnostic: %s", pos, d.Message)
+			t.Errorf("%s: unexpected finding: %s", f.Pos, f.Message)
 		}
 	}
 	var keys []key
@@ -156,7 +138,7 @@ func check(t *testing.T, a *analysis.Analyzer, pkg *load.Package) {
 	for _, k := range keys {
 		for i, ok := range matched[k] {
 			if !ok {
-				t.Errorf("%s:%d: no diagnostic matching %q", k.file, k.line, wantSrc[k][i])
+				t.Errorf("%s:%d: no finding matching %q", k.file, k.line, wants[k][i])
 			}
 		}
 	}
@@ -224,8 +206,6 @@ type resolver struct {
 	std types.Importer
 }
 
-var _ types.Importer = (*resolver)(nil)
-
 func (r *resolver) Import(path string) (*types.Package, error) {
 	dir := filepath.Join(r.root, filepath.FromSlash(path))
 	if st, err := os.Stat(dir); err == nil && st.IsDir() {
@@ -255,7 +235,7 @@ func (r *resolver) load(path string) (*load.Package, error) {
 		}
 	}
 	if len(files) == 0 {
-		return nil, fmt.Errorf("analysistest: no .go files in %s", dir)
+		return nil, fmt.Errorf("golden: no .go files in %s", dir)
 	}
 	sort.Strings(files)
 	pkg, err := load.Check(r.fset, r, path, files)

@@ -47,7 +47,6 @@ import (
 // directive with a reason.
 var LedgeredActuationAnalyzer = &analysis.Analyzer{
 	Name: "ledgeredactuation",
-	Doc:  "actuations must go through the write-ahead ledger (LedgeredActuator/Arbiter), not raw actuators or cgroupfs writers; restrictive actuations in the ledger layer must record first on every path",
 	Run:  runLedgeredActuation,
 }
 

@@ -1,20 +1,28 @@
-// Package lint is stayawaylint: a suite of static analyzers that machine-
-// enforce the repository's safety and determinism contracts — the rules
-// that previously lived only in DESIGN.md prose and review vigilance.
+// Package lint is stayawaylint: the static analyzers that machine-enforce
+// the repository's safety and determinism contracts — the rules that
+// previously lived only in DESIGN.md prose and review vigilance.
 //
-// The analyzers (see Analyzers) encode: the write-ahead ledger's
-// upper-bound invariant (ledgeredactuation), crash-safe persistence
-// (atomicwrite), reproducible mapping/prediction pipelines
-// (determinism), epsilon-safe float comparison in the math packages
-// (floatcmp), the fail-safe release contract of the control runtime
-// (failsafe), goroutine stop signals in the streaming layers
-// (goroutineleak), capped long-lived structures (boundedgrowth), and
-// the lock release protocol (locksafe). The failsafe, ledger, and
-// concurrency analyzers are flow-sensitive: they run a forward dataflow
-// over per-function CFGs (lint/cfg, lint/flow) so invariants hold along
-// every path — early returns, panic edges, helper indirection — not
-// just straight-line code. Run them via `go run ./cmd/stayawaylint
-// ./...`.
+// The invariant analyzers (see Analyzers) are the ones that passed
+// DESIGN.md §9's mutation test: each catches a planted instance of its bug
+// class that nothing else catches, and pins one of the safety claims.
+// deadcode keeps the module free of code with no caller.
+//
+//   - ledgeredactuation: the write-ahead ledger is an upper bound on the
+//     restrictions in force — every actuation goes through it, and inside
+//     the ledger layer every restrictive actuation is recorded first;
+//   - atomicwrite: the ledger and checkpoints are replaced atomically, so
+//     a crash mid-write cannot tear the record recovery replays;
+//   - determinism: same seed ⇒ same bits in the mapping, prediction,
+//     simulation and placement packages;
+//   - failsafe: an exported core/throttle entry point that acquires a
+//     restriction releases it on every exit path, panics included;
+//   - deadcode: an exported package-level name under internal/ has a
+//     non-test caller somewhere in the module.
+//
+// failsafe and ledgeredactuation are flow-sensitive: they run a forward
+// dataflow over per-function CFGs (lint/cfg, lint/flow) so the invariant
+// holds along every path, not just straight-line code. Run the suite with
+// `go run ./cmd/stayawaylint ./...`.
 //
 // A finding can be acknowledged in place with a mandatory-reason
 // directive; see DirectivePrefix.
@@ -33,13 +41,10 @@ import (
 func Analyzers() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
 		AtomicWriteAnalyzer,
-		BoundedGrowthAnalyzer,
+		DeadCodeAnalyzer,
 		DeterminismAnalyzer,
 		FailsafeAnalyzer,
-		FloatCmpAnalyzer,
-		GoroutineLeakAnalyzer,
 		LedgeredActuationAnalyzer,
-		LockSafeAnalyzer,
 	}
 }
 
@@ -52,41 +57,27 @@ type Finding struct {
 	Analyzer string
 	Pos      token.Position
 	Message  string
-	// Fixes are the analyzer's suggested rewrites, with token positions
-	// resolved to file coordinates so consumers (JSON output, editors)
-	// need no FileSet.
-	Fixes []Fix
-}
-
-// Fix is one machine-applicable rewrite suggested for a Finding.
-type Fix struct {
-	Message string
-	Edits   []FixEdit
-}
-
-// FixEdit replaces the source range [Pos, End) with NewText.
-type FixEdit struct {
-	Pos     token.Position
-	End     token.Position
-	NewText string
 }
 
 func (f Finding) String() string {
 	return f.Pos.String() + ": " + f.Message + " (" + f.Analyzer + ")"
 }
 
-// Run executes the analyzers over the packages, applies
-// //lint:stayaway-ignore suppressions, and returns the surviving findings
-// sorted by position. Malformed directives are findings too, under
-// DirectiveAnalyzerName.
-func Run(pkgs []*load.Package, analyzers []*analysis.Analyzer) ([]Finding, error) {
+// Run executes the analyzers over the packages and applies
+// //lint:stayaway-ignore suppressions. It returns the surviving findings
+// sorted by position — malformed directives are findings too, under
+// DirectiveAnalyzerName — and every well-formed directive sorted by file
+// and line, each marked Used when it silenced at least one diagnostic.
+func Run(pkgs []*load.Package, analyzers []*analysis.Analyzer) ([]Finding, []Suppression, error) {
 	known := make(map[string]bool, len(analyzers))
 	for _, a := range analyzers {
 		known[a.Name] = true
 	}
+	referenced := references(pkgs)
 	var findings []Finding
+	var sups []Suppression
 	for _, pkg := range pkgs {
-		var sups []Suppression
+		first := len(sups)
 		for _, f := range pkg.Syntax {
 			sups = append(sups, fileSuppressions(pkg.Fset, f, known, func(d analysis.Diagnostic) {
 				findings = append(findings, Finding{
@@ -96,37 +87,30 @@ func Run(pkgs []*load.Package, analyzers []*analysis.Analyzer) ([]Finding, error
 				})
 			})...)
 		}
+		pkgSups := sups[first:]
 		for _, a := range analyzers {
 			pass := &analysis.Pass{
-				Analyzer:  a,
-				Fset:      pkg.Fset,
-				Files:     pkg.Syntax,
-				Pkg:       pkg.Types,
-				TypesInfo: pkg.TypesInfo,
+				Fset:       pkg.Fset,
+				Files:      pkg.Syntax,
+				Pkg:        pkg.Types,
+				TypesInfo:  pkg.TypesInfo,
+				Referenced: referenced,
 			}
 			pass.Report = func(d analysis.Diagnostic) {
 				pos := pkg.Fset.Position(d.Pos)
-				for _, s := range sups {
-					if s.Covers(a.Name, pos.Filename, pos.Line) {
-						return
+				suppressed := false
+				for i := range pkgSups {
+					if pkgSups[i].Covers(a.Name, pos.Filename, pos.Line) {
+						pkgSups[i].Used = true
+						suppressed = true
 					}
 				}
-				f := Finding{Analyzer: a.Name, Pos: pos, Message: d.Message}
-				for _, sf := range d.SuggestedFixes {
-					fix := Fix{Message: sf.Message}
-					for _, e := range sf.TextEdits {
-						fix.Edits = append(fix.Edits, FixEdit{
-							Pos:     pkg.Fset.Position(e.Pos),
-							End:     pkg.Fset.Position(e.End),
-							NewText: string(e.NewText),
-						})
-					}
-					f.Fixes = append(f.Fixes, fix)
+				if !suppressed {
+					findings = append(findings, Finding{Analyzer: a.Name, Pos: pos, Message: d.Message})
 				}
-				findings = append(findings, f)
 			}
 			if _, err := a.Run(pass); err != nil {
-				return nil, err
+				return nil, nil, err
 			}
 		}
 	}
@@ -143,7 +127,13 @@ func Run(pkgs []*load.Package, analyzers []*analysis.Analyzer) ([]Finding, error
 		}
 		return a.Analyzer < b.Analyzer
 	})
-	return findings, nil
+	sort.Slice(sups, func(i, j int) bool {
+		if sups[i].File != sups[j].File {
+			return sups[i].File < sups[j].File
+		}
+		return sups[i].Line < sups[j].Line
+	})
+	return findings, sups, nil
 }
 
 // pkgMatches reports whether the package import path denotes one of the

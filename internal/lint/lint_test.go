@@ -6,112 +6,78 @@ import (
 
 	"repro/internal/lint"
 	"repro/internal/lint/analysis"
-	"repro/internal/lint/analysistest"
 )
 
 func TestLedgeredActuation(t *testing.T) {
-	analysistest.Run(t, "testdata", lint.LedgeredActuationAnalyzer,
-		"ledgered", "repro/internal/resilience")
+	golden(t, lint.LedgeredActuationAnalyzer, "ledgered", "repro/internal/resilience")
 }
 
 func TestAtomicWrite(t *testing.T) {
-	analysistest.Run(t, "testdata", lint.AtomicWriteAnalyzer,
-		"atomicw", "repro/internal/fsatomic")
+	golden(t, lint.AtomicWriteAnalyzer, "atomicw", "repro/internal/fsatomic")
 }
 
 func TestDeterminism(t *testing.T) {
-	analysistest.Run(t, "testdata", lint.DeterminismAnalyzer,
+	golden(t, lint.DeterminismAnalyzer,
 		"repro/internal/mds", "repro/internal/sched", "repro/internal/workload", "notmath")
 }
 
-func TestFloatCmp(t *testing.T) {
-	analysistest.Run(t, "testdata", lint.FloatCmpAnalyzer,
-		"repro/internal/stats")
-}
-
 func TestFailsafe(t *testing.T) {
-	analysistest.Run(t, "testdata", lint.FailsafeAnalyzer,
-		"repro/internal/core")
+	golden(t, lint.FailsafeAnalyzer, "repro/internal/core")
 }
 
-func TestGoroutineLeak(t *testing.T) {
-	analysistest.Run(t, "testdata", lint.GoroutineLeakAnalyzer,
-		"repro/internal/stream")
+// TestDeadCode covers a used and an unused name of each kind, names used
+// only from another package, only from a test file, only from their own
+// declaration or only by an interface assertion, and a suppressed finding.
+func TestDeadCode(t *testing.T) {
+	sups := golden(t, lint.DeadCodeAnalyzer, "repro/internal/deadcode/a", "repro/internal/deadcode/b")
+	if len(sups) != 1 || sups[0].Analyzer != "deadcode" || !sups[0].Used {
+		t.Errorf("suppressions = %+v; want the one deadcode directive, used", sups)
+	}
 }
 
-func TestBoundedGrowth(t *testing.T) {
-	analysistest.Run(t, "testdata", lint.BoundedGrowthAnalyzer,
-		"repro/internal/daemon")
+// TestDeadCodeSubset runs deadcode over part of the golden module. A
+// package whose importer is left out of the run is not checked, so none
+// of a's names used from b is reported; b, which nothing imports, still
+// is.
+func TestDeadCodeSubset(t *testing.T) {
+	pkgs := loadGolden(t, "repro/internal/deadcode/a", "repro/internal/deadcode/b")
+	analyzers := []*analysis.Analyzer{lint.DeadCodeAnalyzer}
+	findings, _, err := lint.Run(pkgs[:1], analyzers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range findings {
+		t.Errorf("run over a alone reported %s", f)
+	}
+	findings, _, err = lint.Run(pkgs[1:], analyzers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(findings) != 1 || !strings.Contains(findings[0].Message, "UnusedInB") {
+		t.Errorf("run over b alone = %v; want only UnusedInB", findings)
+	}
 }
 
-func TestLockSafe(t *testing.T) {
-	analysistest.Run(t, "testdata", lint.LockSafeAnalyzer,
-		"repro/internal/registry")
-}
-
-// TestFloatCmpSuggestedFix checks that floatcmp findings carry a
-// machine-applicable rewrite: the whole comparison replaced by an
-// ApproxEqual call (bare inside internal/stats, negated for !=).
-func TestFloatCmpSuggestedFix(t *testing.T) {
-	pkgs := analysistest.Load(t, "testdata", "repro/internal/stats")
-	findings, err := lint.Run(pkgs, []*analysis.Analyzer{lint.FloatCmpAnalyzer})
+// TestAuditSuppressions checks the liveness record lint.Run keeps for the
+// suppress fixture: the atomicwrite directive on line 10 silences line 11
+// (used); the determinism one on line 21 names the wrong analyzer for its
+// site (unused).
+func TestAuditSuppressions(t *testing.T) {
+	_, sups, err := lint.Run(loadGolden(t, "suppress"), lint.Analyzers())
 	if err != nil {
 		t.Fatalf("lint.Run: %v", err)
 	}
-	wantRewrites := map[int]string{ // keyed by finding line
-		8:  "ApproxEqual(a, b, 1e-9)",
-		12: "!ApproxEqual(a, b, 1e-9)",
-		16: "ApproxEqual(a, 1.5, 1e-9)",
-		20: "!ApproxEqual(a, b, 1e-9)",
-	}
-	if len(findings) != len(wantRewrites) {
-		for _, f := range findings {
-			t.Logf("finding: %s", f)
+	if len(sups) != 2 {
+		for _, s := range sups {
+			t.Logf("suppression: %s:%d %s used=%v", s.File, s.Line, s.Analyzer, s.Used)
 		}
-		t.Fatalf("got %d findings, want %d", len(findings), len(wantRewrites))
+		t.Fatalf("got %d suppressions, want 2", len(sups))
 	}
-	for _, f := range findings {
-		want, ok := wantRewrites[f.Pos.Line]
-		if !ok {
-			t.Errorf("unexpected finding line %d: %s", f.Pos.Line, f)
-			continue
-		}
-		if len(f.Fixes) != 1 || len(f.Fixes[0].Edits) != 1 {
-			t.Errorf("line %d: got %d fixes, want exactly 1 with 1 edit", f.Pos.Line, len(f.Fixes))
-			continue
-		}
-		e := f.Fixes[0].Edits[0]
-		if e.NewText != want {
-			t.Errorf("line %d: rewrite = %q, want %q", f.Pos.Line, e.NewText, want)
-		}
-		if e.Pos.Line != f.Pos.Line || e.End.Line != f.Pos.Line || e.End.Column <= e.Pos.Column {
-			t.Errorf("line %d: edit range %v-%v does not span the comparison", f.Pos.Line, e.Pos, e.End)
-		}
+	if s := sups[0]; s.Line != 10 || s.Analyzer != "atomicwrite" || !s.Used {
+		t.Errorf("sups[0] = %s:%d %s used=%v; want line 10 atomicwrite used", s.File, s.Line, s.Analyzer, s.Used)
 	}
-}
-
-// TestAuditSuppressions exercises the -suppressions audit path over the
-// suppress fixture: the one well-formed directive is reported as used.
-func TestAuditSuppressions(t *testing.T) {
-	pkgs := analysistest.Load(t, "testdata", "suppress")
-	audits, err := lint.AuditSuppressions(pkgs, lint.Analyzers())
-	if err != nil {
-		t.Fatalf("AuditSuppressions: %v", err)
-	}
-	// The fixture has exactly two well-formed directives: the atomicwrite
-	// one on line 10 (silences line 11, so live) and the floatcmp one on
-	// line 21 (names the wrong analyzer for its site, so dead).
-	if len(audits) != 2 {
-		for _, a := range audits {
-			t.Logf("audit: %s:%d %s used=%v", a.File, a.Line, a.Analyzer, a.Used)
-		}
-		t.Fatalf("got %d suppressions, want 2", len(audits))
-	}
-	if a := audits[0]; a.Line != 10 || a.Analyzer != "atomicwrite" || !a.Used {
-		t.Errorf("audit[0] = %s:%d %s used=%v; want line 10 atomicwrite used", a.File, a.Line, a.Analyzer, a.Used)
-	}
-	if a := audits[1]; a.Line != 21 || a.Analyzer != "floatcmp" || a.Used {
-		t.Errorf("audit[1] = %s:%d %s used=%v; want line 21 floatcmp unused", a.File, a.Line, a.Analyzer, a.Used)
+	if s := sups[1]; s.Line != 21 || s.Analyzer != "determinism" || s.Used {
+		t.Errorf("sups[1] = %s:%d %s used=%v; want line 21 determinism unused", s.File, s.Line, s.Analyzer, s.Used)
 	}
 }
 
@@ -122,8 +88,7 @@ func TestAuditSuppressions(t *testing.T) {
 // a directive naming the wrong analyzer leaves the original finding
 // standing.
 func TestSuppressionIntegration(t *testing.T) {
-	pkgs := analysistest.Load(t, "testdata", "suppress")
-	findings, err := lint.Run(pkgs, lint.Analyzers())
+	findings, _, err := lint.Run(loadGolden(t, "suppress"), lint.Analyzers())
 	if err != nil {
 		t.Fatalf("lint.Run: %v", err)
 	}

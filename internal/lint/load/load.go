@@ -44,6 +44,10 @@ type Package struct {
 	Types *types.Package
 	// TypesInfo records uses, defs, types and selections.
 	TypesInfo *types.Info
+	// ImportedBy lists the packages of the package's module whose non-test
+	// files import it — every package outside it that can refer to its
+	// names.
+	ImportedBy []string
 }
 
 // ListedPackage is the subset of `go list -json` output the loader
@@ -53,9 +57,14 @@ type ListedPackage struct {
 	Dir        string
 	Export     string
 	GoFiles    []string
+	Imports    []string
 	ImportMap  map[string]string
 	DepOnly    bool
-	Error      *struct{ Err string }
+	Module     *struct {
+		Dir  string
+		Main bool
+	}
+	Error *struct{ Err string }
 }
 
 // ExportIndex maps import paths to compiled export-data files. The gc
@@ -78,7 +87,12 @@ func (x ExportIndex) Importer(fset *token.FileSet) types.Importer {
 // and returns the decoded package stream. Compilation errors in the tree
 // surface here, before any analysis runs.
 func GoList(dir string, patterns ...string) ([]ListedPackage, error) {
-	args := append([]string{"list", "-export", "-json", "-deps", "--"}, patterns...)
+	return goList(dir, []string{"-export", "-json", "-deps"}, patterns)
+}
+
+func goList(dir string, flags, patterns []string) ([]ListedPackage, error) {
+	args := append(append([]string{"list"}, flags...), "--")
+	args = append(args, patterns...)
 	cmd := exec.Command("go", args...)
 	cmd.Dir = dir
 	var stderr bytes.Buffer
@@ -140,6 +154,10 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 			return nil, fmt.Errorf("load: %s: %s", p.ImportPath, p.Error.Err)
 		}
 	}
+	importedBy, err := moduleImporters(listed)
+	if err != nil {
+		return nil, err
+	}
 	index := Index(listed)
 	fset := token.NewFileSet()
 	imp := index.Importer(fset)
@@ -158,15 +176,39 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 		}
 		pkg.Dir = p.Dir
 		pkg.GoFiles = append(pkg.GoFiles, p.GoFiles...)
+		pkg.ImportedBy = importedBy[p.ImportPath]
 		out = append(out, pkg)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].PkgPath < out[j].PkgPath })
 	return out, nil
 }
 
+// moduleImporters lists every package of the main module the targets
+// belong to, and maps each import path to the module packages whose
+// non-test files import it.
+func moduleImporters(listed []ListedPackage) (map[string][]string, error) {
+	for _, p := range listed {
+		if p.DepOnly || p.Module == nil || !p.Module.Main {
+			continue
+		}
+		mod, err := goList(p.Module.Dir, []string{"-json=ImportPath,Imports"}, []string{"./..."})
+		if err != nil {
+			return nil, err
+		}
+		importedBy := make(map[string][]string)
+		for _, m := range mod {
+			for _, imp := range m.Imports {
+				importedBy[imp] = append(importedBy[imp], m.ImportPath)
+			}
+		}
+		return importedBy, nil
+	}
+	return nil, nil
+}
+
 // Check parses the named files and type-checks them as package pkgPath,
-// resolving imports through imp. It is the shared core of Load, the
-// analysistest harness and the vettool mode of cmd/stayawaylint.
+// resolving imports through imp. It is the shared core of Load and the
+// golden-package harness of the lint tests.
 func Check(fset *token.FileSet, imp types.Importer, pkgPath string, files []string) (*Package, error) {
 	var syntax []*ast.File
 	for _, name := range files {

@@ -18,6 +18,6 @@ func writeAll(path string, data []byte) {
 	//lint:stayaway-ignore nosuchanalyzer because reasons
 	_ = os.WriteFile(path, data, 0o644) // line 19: unknown analyzer, not suppressed
 
-	//lint:stayaway-ignore floatcmp wrong analyzer for this site
+	//lint:stayaway-ignore determinism wrong analyzer for this site
 	_ = os.WriteFile(path, data, 0o644) // line 22: well-formed but wrong analyzer, not suppressed
 }

@@ -39,6 +39,8 @@ type Sample struct {
 }
 
 // NewSample returns a Sample for vm with the given values copied.
+//
+//lint:stayaway-ignore deadcode a test helper: sample constructor shared by the tests of several packages
 func NewSample(vm string, values map[Metric]float64) Sample {
 	cp := make(map[Metric]float64, len(values))
 	for k, v := range values {

@@ -7,4 +7,6 @@
 package race
 
 // Enabled is true in a -race build.
+//
+//lint:stayaway-ignore deadcode a test helper: the allocation guards of several packages read it, and only from _test.go files
 const Enabled = false

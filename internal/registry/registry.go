@@ -228,7 +228,10 @@ func (r *Registry) Put(host string, t *statespace.Template) (*Entry, error) {
 	if err := r.persist(next); err != nil {
 		return nil, err
 	}
-	//lint:stayaway-ignore boundedgrowth the registry is keyed by (app, schema): one entry per deployed workload template, bounded by fleet configuration rather than request volume, and evicting would discard learned state that Put exists to accumulate
+	// The registry is keyed by (app, schema): one entry per deployed
+	// workload template, bounded by fleet configuration rather than
+	// request volume, and evicting would discard learned state that Put
+	// exists to accumulate.
 	r.entries[key] = next
 	if r.cfg.OnPut != nil {
 		since := 0

@@ -225,3 +225,37 @@ func TestEntryFilenameStableAndSafe(t *testing.T) {
 		t.Error("distinct keys collide")
 	}
 }
+
+// TestPutErrorReleasesLock checks that a Put rejected under the lock — a
+// merge failure — leaves the registry usable: an unlock skipped on that
+// early return would wedge every later call.
+func TestPutErrorReleasesLock(t *testing.T) {
+	r, err := Open(Config{Now: testClock()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	legacy := func(cpuMax float64) *statespace.Template {
+		return &statespace.Template{Version: 1, SensitiveApp: "vlc", Dim: 1,
+			States: []statespace.TemplateState{{Label: "safe", Vector: []float64{0.5}}},
+			Ranges: map[metrics.Metric]metrics.Range{metrics.MetricCPU: {Max: cpuMax}}}
+	}
+	if _, err := r.Put("h", legacy(400)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.Put("h", legacy(800)); err == nil {
+		t.Fatal("schema-less templates with differing ranges merged")
+	}
+	done := make(chan error, 1)
+	go func() {
+		_, err := r.Put("h", legacy(400))
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("Put after a failed Put: %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("registry wedged after a failed Put")
+	}
+}

@@ -172,7 +172,9 @@ func MergeRanges(base, incoming *Template) (map[metrics.Metric]metrics.Range, er
 			out[m] = r
 			continue
 		}
-		//lint:stayaway-ignore floatcmp schema-less templates cannot be rescaled, so only byte-identical range maxima are mergeable — exact equality is the requirement, not a rounding accident
+		// Schema-less templates cannot be rescaled, so only
+		// byte-identical range maxima are mergeable — exact equality
+		// is the requirement, not a rounding accident.
 		if legacy && (cur.Max != r.Max || cur.Adaptive != r.Adaptive) {
 			return nil, fmt.Errorf("statespace: schema-less templates with differing range for %q (%v vs %v) cannot merge",
 				m, cur, r)
@@ -202,7 +204,10 @@ func RescaleStates(t *Template, ranges map[metrics.Metric]metrics.Range) []Templ
 				m := t.SchemaMetrics[d%nm]
 				oldR, okOld := t.Ranges[m]
 				newR, okNew := ranges[m]
-				//lint:stayaway-ignore floatcmp equal maxima mean a scale factor of exactly 1; skipping the multiply keeps unchanged vectors byte-identical, which the delta tracker relies on
+				// Equal maxima mean a scale factor of
+				// exactly 1; skipping the multiply keeps
+				// unchanged vectors byte-identical, which
+				// the delta tracker relies on.
 				if okOld && okNew && oldR.Max > 0 && newR.Max > 0 && oldR.Max != newR.Max {
 					cp.Vector[d] *= oldR.Max / newR.Max
 				}

@@ -23,30 +23,13 @@ func NormalizeAngle(a float64) float64 {
 // AngleDiff returns the signed smallest rotation from a to b, in (−π, π].
 func AngleDiff(a, b float64) float64 {
 	d := NormalizeAngle(b - a)
-	//lint:stayaway-ignore floatcmp exact IEEE boundary canonicalization: NormalizeAngle yields precisely -Pi at the branch cut, and only that one bit pattern must map to +Pi
+	// Exact IEEE boundary canonicalization: NormalizeAngle yields
+	// precisely -Pi at the branch cut, and only that one bit pattern
+	// must map to +Pi.
 	if d == -math.Pi {
 		return math.Pi
 	}
 	return d
-}
-
-// CircularMean returns the circular mean of angles in radians, in [−π, π).
-// It returns ErrEmpty for an empty slice and an error when the resultant
-// length is ~0 (uniformly spread angles have no meaningful mean).
-func CircularMean(angles []float64) (float64, error) {
-	if len(angles) == 0 {
-		return 0, ErrEmpty
-	}
-	var sx, sy float64
-	for _, a := range angles {
-		sx += math.Cos(a)
-		sy += math.Sin(a)
-	}
-	r := math.Hypot(sx, sy) / float64(len(angles))
-	if r < 1e-12 {
-		return 0, ErrEmpty
-	}
-	return NormalizeAngle(math.Atan2(sy, sx)), nil
 }
 
 // CircularVariance returns 1 − R̄ where R̄ is the mean resultant length:

@@ -63,31 +63,6 @@ func TestAngleDiff(t *testing.T) {
 	}
 }
 
-func TestCircularMean(t *testing.T) {
-	// Mean of angles straddling the wrap-around must land on ±π, where the
-	// linear mean would wrongly give 0.
-	got, err := CircularMean([]float64{math.Pi - 0.1, -math.Pi + 0.1})
-	if err != nil {
-		t.Fatalf("CircularMean error: %v", err)
-	}
-	if math.Abs(math.Abs(got)-math.Pi) > 1e-9 {
-		t.Errorf("wrap-around mean = %v, want ±π", got)
-	}
-
-	got, err = CircularMean([]float64{0.1, 0.2, 0.3})
-	if err != nil || !almostEqual(got, 0.2, 1e-9) {
-		t.Errorf("simple mean = %v, %v; want 0.2", got, err)
-	}
-
-	if _, err := CircularMean(nil); err != ErrEmpty {
-		t.Errorf("empty mean err = %v, want ErrEmpty", err)
-	}
-	// Uniformly opposed angles have no meaningful mean.
-	if _, err := CircularMean([]float64{0, math.Pi / 2, -math.Pi, -math.Pi / 2}); err == nil {
-		t.Error("balanced angles should report no meaningful mean")
-	}
-}
-
 func TestCircularVariance(t *testing.T) {
 	if got := CircularVariance(nil); got != 1 {
 		t.Errorf("empty variance = %v, want 1", got)

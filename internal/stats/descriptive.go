@@ -1,7 +1,8 @@
 // Package stats provides the small statistical toolbox Stay-Away is built
-// on: descriptive statistics, fixed-bin histograms, Gaussian kernel density
-// estimation, inverse-transform sampling, the Rayleigh distance weighting
-// used for violation ranges, and circular statistics for trajectory angles.
+// on: descriptive statistics, fixed-bin histograms and their
+// inverse-transform sampling, Gaussian kernel density smoothing of a
+// histogram, the Rayleigh distance weighting used for violation ranges,
+// and circular statistics for trajectory angles.
 //
 // Everything in this package is deterministic given the caller-supplied
 // *rand.Rand; nothing reads the wall clock or global random state.
@@ -27,86 +28,13 @@ func Sum(xs []float64) float64 {
 }
 
 // Mean returns the arithmetic mean of xs, or 0 for an empty slice.
+//
+//lint:stayaway-ignore deadcode its callers are in the bench harness, a separate module that ./... does not load
 func Mean(xs []float64) float64 {
 	if len(xs) == 0 {
 		return 0
 	}
 	return Sum(xs) / float64(len(xs))
-}
-
-// Variance returns the population variance of xs (dividing by n, not n-1).
-// It returns 0 for slices with fewer than two elements.
-func Variance(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	var ss float64
-	for _, x := range xs {
-		d := x - m
-		ss += d * d
-	}
-	return ss / float64(len(xs))
-}
-
-// SampleVariance returns the unbiased sample variance (dividing by n-1).
-// It returns 0 for slices with fewer than two elements.
-func SampleVariance(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	return Variance(xs) * float64(len(xs)) / float64(len(xs)-1)
-}
-
-// StdDev returns the population standard deviation of xs.
-func StdDev(xs []float64) float64 {
-	return math.Sqrt(Variance(xs))
-}
-
-// Min returns the minimum of xs. It returns ErrEmpty for an empty slice.
-func Min(xs []float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m, nil
-}
-
-// Max returns the maximum of xs. It returns ErrEmpty for an empty slice.
-func Max(xs []float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x > m {
-			m = x
-		}
-	}
-	return m, nil
-}
-
-// MinMax returns both extremes of xs in one pass.
-// It returns ErrEmpty for an empty slice.
-func MinMax(xs []float64) (lo, hi float64, err error) {
-	if len(xs) == 0 {
-		return 0, 0, ErrEmpty
-	}
-	lo, hi = xs[0], xs[0]
-	for _, x := range xs[1:] {
-		if x < lo {
-			lo = x
-		}
-		if x > hi {
-			hi = x
-		}
-	}
-	return lo, hi, nil
 }
 
 // Median returns the median of xs without modifying it.
@@ -150,9 +78,4 @@ func Clamp(x, lo, hi float64) float64 {
 		return hi
 	}
 	return x
-}
-
-// Lerp linearly interpolates between a and b by t in [0,1].
-func Lerp(a, b, t float64) float64 {
-	return a + (b-a)*t
 }

@@ -189,7 +189,9 @@ func (h *Histogram) Merge(other *Histogram) error {
 	if other == nil {
 		return nil
 	}
-	//lint:stayaway-ignore floatcmp configuration-identity check: bounds round-trip exactly through construction and snapshots, and an epsilon would silently merge differently-binned histograms
+	// Configuration-identity check: bounds round-trip exactly through
+	// construction and snapshots, and an epsilon would silently merge
+	// differently-binned histograms.
 	if h.lo != other.lo || h.hi != other.hi || len(h.counts) != len(other.counts) {
 		return fmt.Errorf("stats: cannot merge histogram [%v,%v]/%d with [%v,%v]/%d",
 			h.lo, h.hi, len(h.counts), other.lo, other.hi, len(other.counts))

@@ -15,27 +15,6 @@ type KDE struct {
 	total     float64
 }
 
-// NewKDE builds a KDE over samples with Silverman's rule-of-thumb
-// bandwidth. Passing an explicit bandwidth > 0 overrides the rule.
-// A nil or empty sample set yields an estimator that evaluates to zero
-// everywhere.
-func NewKDE(samples []float64, bandwidth float64) *KDE {
-	k := &KDE{
-		samples: append([]float64(nil), samples...),
-	}
-	k.weights = make([]float64, len(k.samples))
-	for i := range k.weights {
-		k.weights[i] = 1
-	}
-	k.total = float64(len(k.samples))
-	if bandwidth > 0 {
-		k.bandwidth = bandwidth
-	} else {
-		k.bandwidth = SilvermanBandwidth(k.samples)
-	}
-	return k
-}
-
 // NewKDEFromHistogram builds a KDE using bin centers weighted by bin counts.
 // This is how the runtime smooths its accumulated step/angle histograms
 // without retaining every raw observation.
@@ -58,22 +37,6 @@ func NewKDEFromHistogram(h *Histogram, bandwidth float64) *KDE {
 		k.bandwidth = 2 * h.BinWidth()
 	}
 	return k
-}
-
-// SilvermanBandwidth returns Silverman's rule-of-thumb bandwidth
-// 1.06·σ·n^(−1/5), with a small positive floor so degenerate inputs
-// (constant samples) still produce a usable estimator.
-func SilvermanBandwidth(samples []float64) float64 {
-	const floor = 1e-3
-	if len(samples) < 2 {
-		return floor
-	}
-	sd := math.Sqrt(SampleVariance(samples))
-	bw := 1.06 * sd * math.Pow(float64(len(samples)), -0.2)
-	if bw < floor {
-		return floor
-	}
-	return bw
 }
 
 // Bandwidth returns the estimator's kernel bandwidth.

@@ -6,32 +6,25 @@ import (
 	"testing"
 )
 
-func TestSilvermanBandwidth(t *testing.T) {
-	if got := SilvermanBandwidth(nil); got <= 0 {
-		t.Errorf("bandwidth of nil = %v, want positive floor", got)
+// kdeOf builds the KDE of a histogram over [lo, hi) holding xs.
+func kdeOf(t *testing.T, lo, hi float64, bins int, bandwidth float64, xs ...float64) *KDE {
+	t.Helper()
+	h := mustHistogram(t, lo, hi, bins)
+	for _, x := range xs {
+		h.Add(x)
 	}
-	if got := SilvermanBandwidth([]float64{5}); got <= 0 {
-		t.Errorf("bandwidth of singleton = %v, want positive floor", got)
-	}
-	if got := SilvermanBandwidth([]float64{2, 2, 2}); got <= 0 {
-		t.Errorf("bandwidth of constant = %v, want positive floor", got)
-	}
-	// Known value: sd of {1..5} sample variance 2.5, sd≈1.5811, n=5.
-	want := 1.06 * math.Sqrt(2.5) * math.Pow(5, -0.2)
-	if got := SilvermanBandwidth([]float64{1, 2, 3, 4, 5}); !almostEqual(got, want, 1e-9) {
-		t.Errorf("bandwidth = %v, want %v", got, want)
-	}
+	return NewKDEFromHistogram(h, bandwidth)
 }
 
 func TestKDEEmptyEvaluatesZero(t *testing.T) {
-	k := NewKDE(nil, 0)
+	k := kdeOf(t, -1, 1, 4, 0)
 	if got := k.Evaluate(0); got != 0 {
 		t.Errorf("empty KDE at 0 = %v, want 0", got)
 	}
 }
 
 func TestKDEPeaksAtData(t *testing.T) {
-	k := NewKDE([]float64{0, 0, 0, 0, 10}, 0.5)
+	k := kdeOf(t, -0.5, 10.5, 11, 0.5, 0, 0, 0, 0, 10)
 	if k.Evaluate(0) <= k.Evaluate(5) {
 		t.Error("density at cluster should exceed density between clusters")
 	}
@@ -49,7 +42,7 @@ func TestKDEIntegratesToOne(t *testing.T) {
 	for i := range samples {
 		samples[i] = rng.NormFloat64()
 	}
-	k := NewKDE(samples, 0)
+	k := kdeOf(t, -5, 5, 50, 0, samples...)
 	// Trapezoid integration over a wide range.
 	const n = 4000
 	lo, hi := -10.0, 10.0
@@ -97,7 +90,7 @@ func TestKDEFromEmptyHistogram(t *testing.T) {
 }
 
 func TestKDEGrid(t *testing.T) {
-	k := NewKDE([]float64{1, 2, 3}, 0.5)
+	k := kdeOf(t, 0.5, 3.5, 3, 0.5, 1, 2, 3)
 	xs, ys := k.Grid(0, 4, 9)
 	if len(xs) != 9 || len(ys) != 9 {
 		t.Fatalf("grid lengths = %d,%d; want 9,9", len(xs), len(ys))

@@ -25,32 +25,3 @@ func RayleighWeight(d, c float64) float64 {
 	}
 	return d * math.Exp(-(d*d)/(2*c*c))
 }
-
-// RayleighPeak returns the d value at which RayleighWeight(d, c) is
-// maximal (d = c) and the maximum radius c·e^(−1/2).
-func RayleighPeak(c float64) (d, r float64) {
-	if c <= 0 {
-		return 0, 0
-	}
-	return c, c * math.Exp(-0.5)
-}
-
-// RayleighPDF is the standard Rayleigh probability density with scale
-// sigma, provided for completeness and for tests that validate the weight
-// function against the textbook form.
-func RayleighPDF(x, sigma float64) float64 {
-	if x < 0 || sigma <= 0 {
-		return 0
-	}
-	s2 := sigma * sigma
-	return x / s2 * math.Exp(-(x*x)/(2*s2))
-}
-
-// RayleighCDF is the standard Rayleigh cumulative distribution with scale
-// sigma.
-func RayleighCDF(x, sigma float64) float64 {
-	if x <= 0 || sigma <= 0 {
-		return 0
-	}
-	return 1 - math.Exp(-(x*x)/(2*sigma*sigma))
-}

@@ -41,19 +41,6 @@ func TestRayleighWeightKnownValues(t *testing.T) {
 	}
 }
 
-func TestRayleighPeak(t *testing.T) {
-	d, r := RayleighPeak(3)
-	if d != 3 {
-		t.Errorf("peak position = %v, want 3", d)
-	}
-	if !almostEqual(r, 3*math.Exp(-0.5), 1e-12) {
-		t.Errorf("peak value = %v", r)
-	}
-	if d, r := RayleighPeak(0); d != 0 || r != 0 {
-		t.Errorf("degenerate peak = %v,%v; want 0,0", d, r)
-	}
-}
-
 // The central safety property from §3.2.2: the violation-range radius is
 // strictly less than the distance to the nearest safe-state, so a known
 // safe-state can never fall inside a violation-range derived from it.
@@ -87,38 +74,5 @@ func TestRayleighWeightUnimodal(t *testing.T) {
 			t.Fatalf("weight not decreasing at d=%v", d)
 		}
 		prev = w
-	}
-}
-
-func TestRayleighPDFAndCDF(t *testing.T) {
-	sigma := 1.5
-	// CDF is the integral of the PDF: check via trapezoid rule.
-	const n = 2000
-	hi := 10 * sigma
-	step := hi / n
-	var integral float64
-	for i := 0; i < n; i++ {
-		x := (float64(i) + 0.5) * step
-		integral += RayleighPDF(x, sigma) * step
-	}
-	if math.Abs(integral-1) > 1e-3 {
-		t.Errorf("PDF integral = %v, want ≈1", integral)
-	}
-	if got := RayleighCDF(hi, sigma); math.Abs(got-1) > 1e-9 {
-		t.Errorf("CDF(far) = %v, want ≈1", got)
-	}
-	if RayleighCDF(0, sigma) != 0 {
-		t.Error("CDF(0) should be 0")
-	}
-	if RayleighPDF(-1, sigma) != 0 || RayleighPDF(1, 0) != 0 {
-		t.Error("PDF must be 0 for invalid inputs")
-	}
-	if RayleighCDF(-1, sigma) != 0 || RayleighCDF(1, -1) != 0 {
-		t.Error("CDF must be 0 for invalid inputs")
-	}
-	// Median of Rayleigh is sigma·sqrt(2·ln2).
-	median := sigma * math.Sqrt(2*math.Ln2)
-	if got := RayleighCDF(median, sigma); !almostEqual(got, 0.5, 1e-9) {
-		t.Errorf("CDF(median) = %v, want 0.5", got)
 	}
 }

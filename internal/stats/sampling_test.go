@@ -6,18 +6,20 @@ import (
 	"testing"
 )
 
+// TestHistogramSamplerReproducesDistribution checks inverse-transform
+// sampling — InverseCDF of uniform draws, the way the trajectory model
+// samples its step and angle histograms — against the bin masses.
 func TestHistogramSamplerReproducesDistribution(t *testing.T) {
 	h := mustHistogram(t, 0, 1, 4)
 	h.AddWeighted(0.125, 10) // bin 0
 	h.AddWeighted(0.375, 20) // bin 1
 	h.AddWeighted(0.625, 30) // bin 2
 	h.AddWeighted(0.875, 40) // bin 3
-	s := NewHistogramSampler(h)
 	rng := rand.New(rand.NewSource(3))
 	counts := make([]int, 4)
 	const n = 40000
 	for i := 0; i < n; i++ {
-		x := s.Sample(rng)
+		x := h.InverseCDF(rng.Float64())
 		idx := int(x * 4)
 		if idx > 3 {
 			idx = 3
@@ -30,84 +32,5 @@ func TestHistogramSamplerReproducesDistribution(t *testing.T) {
 		if math.Abs(frac-want[i]) > 0.015 {
 			t.Errorf("bin %d fraction = %v, want ≈%v", i, frac, want[i])
 		}
-	}
-}
-
-func TestHistogramSamplerSeesLaterObservations(t *testing.T) {
-	h := mustHistogram(t, 0, 10, 10)
-	s := NewHistogramSampler(h)
-	// After construction, shove all mass into bin 9.
-	for i := 0; i < 100; i++ {
-		h.Add(9.5)
-	}
-	rng := rand.New(rand.NewSource(1))
-	for i := 0; i < 50; i++ {
-		if x := s.Sample(rng); x < 9 || x > 10 {
-			t.Fatalf("sample %v outside the only populated bin [9,10]", x)
-		}
-	}
-}
-
-func TestHistogramSamplerDeterministic(t *testing.T) {
-	h := mustHistogram(t, 0, 1, 8)
-	rngFill := rand.New(rand.NewSource(5))
-	for i := 0; i < 100; i++ {
-		h.Add(rngFill.Float64())
-	}
-	s := NewHistogramSampler(h)
-	a := s.SampleN(rand.New(rand.NewSource(99)), 20)
-	b := s.SampleN(rand.New(rand.NewSource(99)), 20)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("samples diverge at %d: %v vs %v", i, a[i], b[i])
-		}
-	}
-}
-
-func TestEmpiricalSampler(t *testing.T) {
-	vals := []float64{1, 2, 3}
-	s := NewEmpiricalSampler(vals)
-	rng := rand.New(rand.NewSource(11))
-	seen := map[float64]bool{}
-	for i := 0; i < 200; i++ {
-		x := s.Sample(rng)
-		if x != 1 && x != 2 && x != 3 {
-			t.Fatalf("sample %v not in source set", x)
-		}
-		seen[x] = true
-	}
-	if len(seen) != 3 {
-		t.Errorf("expected all 3 values to appear, saw %v", seen)
-	}
-	// Mutating the source after construction must not affect the sampler.
-	vals[0] = 99
-	for i := 0; i < 50; i++ {
-		if x := s.Sample(rng); x == 99 {
-			t.Fatal("sampler aliased caller's slice")
-		}
-	}
-}
-
-func TestEmpiricalSamplerEmpty(t *testing.T) {
-	s := NewEmpiricalSampler(nil)
-	if got := s.Sample(rand.New(rand.NewSource(1))); got != 0 {
-		t.Errorf("empty empirical sample = %v, want 0", got)
-	}
-}
-
-func TestUniformSampler(t *testing.T) {
-	s := UniformSampler{Lo: -2, Hi: 4}
-	rng := rand.New(rand.NewSource(8))
-	var sum float64
-	const n = 20000
-	for i := 0; i < n; i++ {
-		x := s.Sample(rng)
-		if x < -2 || x > 4 {
-			t.Fatalf("sample %v outside [-2,4]", x)
-		}
-		sum += x
-	}
-	if mean := sum / n; math.Abs(mean-1) > 0.05 {
-		t.Errorf("uniform mean = %v, want ≈1", mean)
 	}
 }

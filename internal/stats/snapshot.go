@@ -76,7 +76,9 @@ func (h *Histogram) RestoreInto(s HistogramSnapshot) error {
 	if err := s.Validate(); err != nil {
 		return err
 	}
-	//lint:stayaway-ignore floatcmp configuration-identity check: bounds round-trip exactly through the JSON checkpoint, and an epsilon would silently restore a mismatched model
+	// Configuration-identity check: bounds round-trip exactly through
+	// the JSON checkpoint, and an epsilon would silently restore a
+	// mismatched model.
 	if s.Lo != h.lo || s.Hi != h.hi || len(s.Counts) != len(h.counts) {
 		return fmt.Errorf("stats: snapshot [%v,%v]/%d incompatible with histogram [%v,%v]/%d",
 			s.Lo, s.Hi, len(s.Counts), h.lo, h.hi, len(h.counts))

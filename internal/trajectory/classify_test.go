@@ -136,7 +136,7 @@ func TestClassifyFromPath(t *testing.T) {
 			path = append(path, mds.Coord{X: 1, Y: float64(i) * 0.01})
 		}
 	}
-	c := Classify(ExtractSteps(path))
+	c := Classify(stepsAlong(path))
 	if c.Kind != WalkOscillating {
 		t.Errorf("kind = %v (%+v), want oscillating", c.Kind, c)
 	}

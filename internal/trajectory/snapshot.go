@@ -59,7 +59,9 @@ func (m *Model) Restore(s ModelSnapshot) error {
 	if err != nil {
 		return fmt.Errorf("trajectory: snapshot angle histogram: %w", err)
 	}
-	//lint:stayaway-ignore floatcmp configuration-identity check: MaxStep round-trips exactly through the checkpoint, and an epsilon would silently accept a model trained under different bounds
+	// Configuration-identity check: MaxStep round-trips exactly through
+	// the checkpoint, and an epsilon would silently accept a model
+	// trained under different bounds.
 	if lo, hi := dh.Range(); lo != 0 || hi != m.cfg.MaxStep || dh.Bins() != m.cfg.DistanceBins {
 		return fmt.Errorf("trajectory: snapshot distance histogram [%v,%v]/%d incompatible with config [0,%v]/%d",
 			lo, hi, dh.Bins(), m.cfg.MaxStep, m.cfg.DistanceBins)

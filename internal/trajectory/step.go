@@ -36,19 +36,6 @@ func (s Step) Destination(p mds.Coord) mds.Coord {
 	}
 }
 
-// ExtractSteps converts a position sequence into its step sequence
-// (len(out) = len(path) − 1; an empty or single-point path has no steps).
-func ExtractSteps(path []mds.Coord) []Step {
-	if len(path) < 2 {
-		return nil
-	}
-	out := make([]Step, len(path)-1)
-	for i := 1; i < len(path); i++ {
-		out[i-1] = StepBetween(path[i-1], path[i])
-	}
-	return out
-}
-
 // TurningAngles returns the signed change of direction between successive
 // steps, ignoring zero-length steps (which carry no direction). Turning
 // angles near ±π indicate the oscillating trajectories the paper observes

@@ -50,27 +50,19 @@ func TestStepRoundTripProperty(t *testing.T) {
 	}
 }
 
-func TestExtractSteps(t *testing.T) {
-	if got := ExtractSteps(nil); got != nil {
-		t.Errorf("nil path steps = %v", got)
+// stepsAlong converts a position sequence into its step sequence.
+func stepsAlong(path []mds.Coord) []Step {
+	var out []Step
+	for i := 1; i < len(path); i++ {
+		out = append(out, StepBetween(path[i-1], path[i]))
 	}
-	if got := ExtractSteps([]mds.Coord{{X: 1}}); got != nil {
-		t.Errorf("single-point path steps = %v", got)
-	}
-	path := []mds.Coord{{}, {X: 1}, {X: 1, Y: 1}}
-	steps := ExtractSteps(path)
-	if len(steps) != 2 {
-		t.Fatalf("steps = %d, want 2", len(steps))
-	}
-	if !almostEqual(steps[0].Angle, 0, 1e-12) || !almostEqual(steps[1].Angle, math.Pi/2, 1e-12) {
-		t.Errorf("angles = %v, %v", steps[0].Angle, steps[1].Angle)
-	}
+	return out
 }
 
 func TestTurningAngles(t *testing.T) {
 	// Right-angle turns: east, north, west.
 	path := []mds.Coord{{}, {X: 1}, {X: 1, Y: 1}, {Y: 1}}
-	turns := TurningAngles(ExtractSteps(path))
+	turns := TurningAngles(stepsAlong(path))
 	if len(turns) != 2 {
 		t.Fatalf("turns = %d, want 2", len(turns))
 	}
@@ -84,7 +76,7 @@ func TestTurningAngles(t *testing.T) {
 func TestTurningAnglesSkipsZeroSteps(t *testing.T) {
 	// A pause in place must not inject a spurious direction.
 	path := []mds.Coord{{}, {X: 1}, {X: 1}, {X: 2}}
-	turns := TurningAngles(ExtractSteps(path))
+	turns := TurningAngles(stepsAlong(path))
 	if len(turns) != 1 {
 		t.Fatalf("turns = %d, want 1", len(turns))
 	}

@@ -35,6 +35,8 @@ type VARModel struct {
 
 // NewVARModel returns a VAR(1) model over a sliding window of at most
 // window positions. window must allow a meaningful fit (≥ 8).
+//
+//lint:stayaway-ignore deadcode EXPERIMENTS.md §3.1 cites its test, and the ROADMAP's forecaster bake-off (item 2(d)) keeps or deletes it
 func NewVARModel(window int) (*VARModel, error) {
 	if window < 8 {
 		return nil, fmt.Errorf("trajectory: VAR window must be ≥ 8, got %d", window)

@@ -128,45 +128,6 @@ func (d Diurnal) Arrivals(tick int) float64 {
 	return math.Max(0, d.Base*(1+d.Amplitude*math.Cos(phase)))
 }
 
-// FlashCrowd is a baseline rate with one sudden surge: ramp up to
-// Multiplier×Base over RampTicks, hold for HoldTicks, decay back over
-// DecayTicks — the shape of a viral link or a failover dumping another
-// region's traffic onto this service.
-type FlashCrowd struct {
-	// Base is the pre-surge rate (requests/tick).
-	Base float64
-	// Multiplier scales Base at the surge peak (≥ 1).
-	Multiplier float64
-	// StartTick is when the ramp begins.
-	StartTick int
-	// RampTicks, HoldTicks and DecayTicks shape the surge; non-positive
-	// ramp/decay segments are treated as instantaneous.
-	RampTicks  int
-	HoldTicks  int
-	DecayTicks int
-}
-
-// Arrivals implements Process.
-func (f FlashCrowd) Arrivals(tick int) float64 {
-	base := math.Max(0, f.Base)
-	mult := math.Max(1, f.Multiplier)
-	t := tick - f.StartTick
-	switch {
-	case t < 0:
-		return base
-	case t < f.RampTicks:
-		frac := float64(t) / float64(f.RampTicks)
-		return base * (1 + (mult-1)*frac)
-	case t < f.RampTicks+f.HoldTicks:
-		return base * mult
-	case f.DecayTicks > 0 && t < f.RampTicks+f.HoldTicks+f.DecayTicks:
-		frac := float64(t-f.RampTicks-f.HoldTicks) / float64(f.DecayTicks)
-		return base * (mult - (mult-1)*frac)
-	default:
-		return base
-	}
-}
-
 // TraceReplay drives arrivals from a request-rate trace (trace.Point
 // series, e.g. tracegen output read back through trace.ReadCSV). Each
 // trace sample spans TicksPerSample ticks; Scale converts the trace's

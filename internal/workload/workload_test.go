@@ -78,30 +78,6 @@ func TestDiurnalCycle(t *testing.T) {
 	}
 }
 
-func TestFlashCrowdShape(t *testing.T) {
-	f := FlashCrowd{Base: 10, Multiplier: 5, StartTick: 100, RampTicks: 10, HoldTicks: 20, DecayTicks: 10}
-	if got := f.Arrivals(50); got != 10 {
-		t.Fatalf("pre-surge = %v, want base 10", got)
-	}
-	if got := f.Arrivals(105); math.Abs(got-30) > 1e-9 { // halfway up the ramp
-		t.Fatalf("mid-ramp = %v, want 30", got)
-	}
-	if got := f.Arrivals(115); got != 50 {
-		t.Fatalf("hold = %v, want 50", got)
-	}
-	if got := f.Arrivals(135); math.Abs(got-30) > 1e-9 { // halfway down
-		t.Fatalf("mid-decay = %v, want 30", got)
-	}
-	if got := f.Arrivals(500); got != 10 {
-		t.Fatalf("post-surge = %v, want base 10", got)
-	}
-	// Instantaneous ramp: the peak applies from the start tick.
-	step := FlashCrowd{Base: 10, Multiplier: 3, StartTick: 5, HoldTicks: 2}
-	if got := step.Arrivals(5); got != 30 {
-		t.Fatalf("instant ramp = %v, want 30", got)
-	}
-}
-
 func TestTraceReplay(t *testing.T) {
 	if _, err := NewTraceReplay(nil, 1, 1); err == nil {
 		t.Fatal("empty trace should error")
