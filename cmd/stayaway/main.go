@@ -262,7 +262,7 @@ func run() error {
 		if err := syncer.PushTemplate(res.Runtime.ExportTemplate(*appName)); err != nil {
 			fmt.Fprintln(os.Stderr, "stayaway: registry push failed:", err)
 		} else {
-			fmt.Printf("pushed learned template to the registry (revision %d)\n", syncer.LastRevision())
+			fmt.Printf("pushed learned template to the registry (revision %d)\n", syncer.Stats().Revision)
 		}
 	}
 	return nil

@@ -468,17 +468,14 @@ func run() error {
 	}
 
 	if *registryURL != "" {
-		client, err := fleet.NewClient(fleet.ClientConfig{BaseURL: *registryURL, Key: fleetKeyBytes})
-		if err != nil {
+		if cfg.Fleet, err = fleet.NewClient(fleet.ClientConfig{BaseURL: *registryURL, Key: fleetKeyBytes}); err != nil {
 			return err
 		}
-		hostName := *hostID
-		if hostName == "" {
-			if hostName, err = os.Hostname(); err != nil {
-				hostName = "unknown-host"
+		if cfg.Host = *hostID; cfg.Host == "" {
+			if cfg.Host, err = os.Hostname(); err != nil {
+				cfg.Host = "unknown-host"
 			}
 		}
-		cfg.Fleet = fleet.NewHostSyncer(client, hostName)
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)

@@ -66,11 +66,12 @@ func run() error {
 	defer hub.Close()
 	metrics := stream.NewMetricSet()
 
-	reg, err := registry.OpenSharded(registry.Config{
+	reg, err := registry.Open(registry.Config{
 		Dir:          *dataDir,
 		MergeEpsilon: *mergeEps,
 		OnPut:        fleet.PublishHook(hub),
-	}, *shards)
+		Shards:       *shards,
+	})
 	if err != nil {
 		return err
 	}

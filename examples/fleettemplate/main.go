@@ -166,16 +166,16 @@ func run() error {
 	syncer := fleet.NewSyncer(flaky, "host-b", "vlc-stream")
 	cable.down = true
 	if err := syncer.PushTemplate(seeded.Runtime.ExportTemplate("vlc-stream")); err != nil {
-		degraded, lastErr := syncer.Degraded()
+		st := syncer.Stats()
 		fmt.Printf("\nregistry outage: push failed (%v), degraded=%v — host keeps its local map\n",
-			lastErr, degraded)
+			st.Err, st.Err != nil)
 	}
 	cable.down = false
 	if err := syncer.PushTemplate(seeded.Runtime.ExportTemplate("vlc-stream")); err != nil {
 		return err
 	}
-	degraded, _ := syncer.Degraded()
+	st := syncer.Stats()
 	fmt.Printf("registry back: resync succeeded (revision %d), degraded=%v\n",
-		syncer.LastRevision(), degraded)
+		st.Revision, st.Err != nil)
 	return nil
 }

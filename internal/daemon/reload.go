@@ -250,8 +250,8 @@ func (l *loop) applyReload() {
 	}
 }
 
-// addLive registers a new lane's telemetry group, adds the lane and
-// resumes its learning if it ran here before.
+// addLive registers a new lane's telemetry group and adds the lane,
+// seeded like a startup lane, following the stream in -stream mode.
 func (l *loop) addLive(d LaneDef) (*lane, error) {
 	group := l.cfg.Lanes.Group(d)
 	if err := l.cfg.Groups.AddGroup(cgroup.Group{Name: group, Path: d.SensitiveCgroup}); err != nil {
@@ -262,12 +262,14 @@ func (l *loop) addLive(d LaneDef) (*lane, error) {
 		l.cfg.Groups.RemoveGroup(group)
 		return nil, err
 	}
-	ln.restore()
+	l.follow(ln)
 	return ln, nil
 }
 
 // changeLane swaps ln's lane for one built from d, carrying its learned
-// state when the schema allows. On error the old lane runs on.
+// state — and its syncer and stream cursor — when the schema allows. A
+// lane that starts cold reflects no fleet revision, so it gets a fresh
+// syncer that bootstraps it. On error the old lane runs on.
 func (l *loop) changeLane(ln *lane, d LaneDef) (bool, error) {
 	group, old := l.cfg.Lanes.Group(d), l.cfg.Lanes.Group(ln.def)
 	if group != old {
@@ -290,6 +292,12 @@ func (l *loop) changeLane(ln *lane, d LaneDef) (bool, error) {
 			ln.sig, ln.rt, ln.def = sig, rt, d
 			// The replacement lane's event ring restarts at sequence 0.
 			ln.seq, ln.hubSeq = 0, 0
+			if !carried && ln.syncer != nil {
+				ln.stopFollowing()
+				ln.syncer = l.newSyncer(ln.app)
+				ln.bootstrap()
+				l.follow(ln)
+			}
 			return carried, nil
 		}
 	}
@@ -299,9 +307,10 @@ func (l *loop) changeLane(ln *lane, d LaneDef) (bool, error) {
 	return false, err
 }
 
-// removeLane drains ln out of the host runtime, flushing its checkpoint
-// and sharing its map first.
+// removeLane stops ln's stream and drains it out of the host runtime,
+// flushing its checkpoint and sharing its map first.
 func (l *loop) removeLane(ln *lane) error {
+	ln.stopFollowing()
 	rt, err := l.host.RemoveLane(ln.app)
 	// The lane is out of the arbiter's merge even on error (removal is
 	// fail-safe); what follows is best-effort bookkeeping.

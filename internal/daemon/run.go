@@ -128,10 +128,13 @@ type Config struct {
 	CheckpointEvery int
 	WatchdogGrace   int
 
-	// Fleet is the registry syncer (nil: standalone). Each lane pushes
-	// its map every SyncEvery periods and once on exit; Stream follows
-	// the registry's push stream; MetricsFile receives the sync counters.
-	Fleet       *fleet.HostSyncer
+	// Fleet is the registry client (nil: standalone) and Host this host's
+	// identity to it; each lane gets its own fleet.Syncer over them. Each
+	// lane pushes its map every SyncEvery periods and once on exit; with
+	// Stream it follows the registry's push stream; MetricsFile receives
+	// the lanes' sync counters.
+	Fleet       *fleet.Client
+	Host        string
 	SyncEvery   int
 	Stream      bool
 	MetricsFile string
@@ -148,19 +151,21 @@ type Config struct {
 
 // lane is one running protection lane and its daemon-side wiring.
 type lane struct {
-	def     LaneDef
-	app     string // fleet-wide application name
-	sig     *procenv.AppSignals
-	rt      *core.Lane
-	ckPath  string
-	syncer  *fleet.Syncer
-	stream  *fleet.StreamSyncer // non-nil in -stream mode
-	seq     uint64              // EventsSince cursor for the report drain
-	hubSeq  uint64              // independent cursor for the admin event hub
-	periods int
-	viols   int
-	merges  int // fleet deltas folded into the live map
-	merged  core.MergeStats
+	def    LaneDef
+	app    string // fleet-wide application name
+	sig    *procenv.AppSignals
+	rt     *core.Lane
+	ckPath string
+	syncer *fleet.Syncer // nil when standalone
+	// unfollow cancels the syncer's Follow goroutine and waits for it to
+	// return; nil unless the lane follows the stream.
+	unfollow func()
+	seq      uint64 // EventsSince cursor for the report drain
+	hubSeq   uint64 // independent cursor for the admin event hub
+	periods  int
+	viols    int
+	merges   int // fleet deltas folded into the live map
+	merged   core.MergeStats
 }
 
 // loop is the control loop's state. The admin and watchdog goroutines
@@ -209,8 +214,8 @@ func RecoverLedger(stateDir string, act throttle.Actuator, batchIDs []string) (*
 }
 
 // Run is stayawayd's control loop. It recovers the ledger, wires the
-// lanes and restores their checkpoints, bootstraps them from the fleet,
-// then runs one host period per tick — with hot reload, fleet push and
+// lanes and seeds each from its checkpoint or else from the fleet, then
+// runs one host period per tick — with hot reload, fleet push and
 // stream adoption, the watchdog, checkpoints and the admin surface
 // around it — until ctx is cancelled, Ticks closes, or every monitored
 // workload has exited. However the loop ends, a panic in a period
@@ -224,7 +229,7 @@ func Run(ctx context.Context, cfg Config) error {
 }
 
 // newLoop runs everything before the first period that starts no
-// goroutine: recovery, lane wiring, checkpoint restore, fleet bootstrap.
+// goroutine: recovery, lane wiring, checkpoint restore or fleet bootstrap.
 func newLoop(cfg Config) (*loop, error) {
 	if cfg.Env == nil || cfg.Actuator == nil || cfg.Release == nil || cfg.Ticks == nil {
 		return nil, errors.New("daemon: Run needs Env, Actuator, Release and Ticks")
@@ -300,22 +305,6 @@ func newLoop(cfg Config) (*loop, error) {
 		return err
 	}
 
-	// Each lane resumes its own learning, or else pulls its application's
-	// consensus map; a cold or unreachable registry never blocks startup.
-	for _, ln := range l.lanes {
-		restored := ln.restore()
-		switch {
-		case ln.syncer == nil:
-		case restored:
-			// The local checkpoint is this host's own learned map; adopting
-			// the fleet template would discard it. Keep the local state and
-			// let the periodic pushes reconcile.
-			fmt.Printf("stayawayd: %s: checkpoint restored; skipping fleet bootstrap\n", ln.app)
-		default:
-			ln.bootstrap()
-		}
-	}
-
 	if cfg.LanesFile != "" {
 		l.reloader = NewReloader(cfg.LanesFile, cfg.Lanes.Lanes, cfg.BatchIDs)
 		if cfg.ReloadWatch {
@@ -348,29 +337,16 @@ func (l *loop) run(ctx context.Context) error {
 	if l.hub != nil {
 		defer l.hub.Close()
 	}
-	stopStreams := func() {}
-	if l.cfg.Stream && l.cfg.Fleet != nil {
-		// Each lane follows the registry's push stream so a violation
-		// learned on another host reaches this one within a control period
-		// instead of at -sync-every cadence. The stream goroutines only
-		// STASH deltas; adopt merges them at period boundaries, so the live
-		// map is never touched mid-period.
-		streamCtx, cancel := context.WithCancel(context.Background())
-		defer cancel()
-		stopStreams = func() {
-			cancel()
-			l.cfg.Fleet.Wait()
-		}
+	for _, ln := range l.lanes {
+		l.follow(ln)
+	}
+	// Lanes added by reload since follow too; removed ones have stopped.
+	defer func() {
 		for _, ln := range l.lanes {
-			ss, err := l.cfg.Fleet.StartStream(streamCtx, ln.app, fleet.StreamSyncerConfig{Logf: l.logf})
-			if err != nil {
-				return err
-			}
-			// The bootstrap pull (if any) already applied this revision; the
-			// stream must not re-deliver it.
-			ss.MarkApplied(ln.syncer.LastRevision())
-			ln.stream = ss
+			ln.stopFollowing()
 		}
+	}()
+	if l.cfg.Stream && l.cfg.Fleet != nil {
 		fmt.Printf("stayawayd: streaming fleet updates for %d lane(s)\n", len(l.lanes))
 	}
 	var adminSrv *http.Server
@@ -417,7 +393,6 @@ func (l *loop) run(ctx context.Context) error {
 		}
 		cancel()
 	}
-	stopStreams()
 	if loopErr != nil {
 		// No final checkpoint after a panic: mid-period invariants cannot
 		// be trusted, and a corrupt checkpoint is worse than a stale one.
@@ -510,8 +485,8 @@ func (l *loop) finish() error {
 			fmt.Printf("--- %s ---\n", ln.app)
 		}
 		fmt.Println(ln.rt.Report())
-		if ln.stream != nil {
-			st := ln.stream.Stats()
+		if ln.unfollow != nil {
+			st := ln.syncer.Stats()
 			fmt.Printf("fleet stream: %d merges (%d states adopted, %d upgraded, %d matched), "+
 				"%d events, %d reconnects, %d fallback polls\n",
 				ln.merges, ln.merged.Added, ln.merged.Upgraded, ln.merged.Matched,
@@ -519,9 +494,12 @@ func (l *loop) finish() error {
 		}
 	}
 	l.writeMetrics()
-	if l.cfg.Fleet != nil {
-		for app, err := range l.cfg.Fleet.Degraded() {
-			fmt.Fprintf(os.Stderr, "stayawayd: %s: exiting out of sync with the registry: %v\n", app, err)
+	for _, ln := range l.lanes {
+		if ln.syncer == nil {
+			continue
+		}
+		if err := ln.syncer.Stats().Err; err != nil {
+			fmt.Fprintf(os.Stderr, "stayawayd: %s: exiting out of sync with the registry: %v\n", ln.app, err)
 		}
 	}
 	if l.cfg.TemplateOut == "" {
@@ -561,8 +539,8 @@ func (l *loop) laneConfig(group, app string) core.Config {
 	return cfg
 }
 
-// addLane adds d's lane to the host runtime; its collector group must
-// already be registered.
+// addLane adds d's lane to the host runtime and seeds it; its collector
+// group must already be registered.
 func (l *loop) addLane(d LaneDef) (*lane, error) {
 	ln := &lane{def: d, app: d.Name()}
 	group := l.cfg.Lanes.Group(d)
@@ -575,10 +553,57 @@ func (l *loop) addLane(d LaneDef) (*lane, error) {
 	}
 	ln.ckPath = l.cfg.Lanes.CheckpointPath(l.cfg.StateDir, ln.app)
 	if l.cfg.Fleet != nil {
-		ln.syncer = l.cfg.Fleet.Lane(ln.app)
+		ln.syncer = l.newSyncer(ln.app)
 	}
 	l.lanes = append(l.lanes, ln)
+	// The lane resumes its own learning, or else pulls its application's
+	// consensus map; a cold or unreachable registry never blocks it.
+	switch restored := ln.restore(); {
+	case ln.syncer == nil:
+	case restored:
+		// The local checkpoint is this host's own learned map; adopting
+		// the fleet template would discard it. Keep the local state and
+		// let the periodic pushes reconcile.
+		fmt.Printf("stayawayd: %s: checkpoint restored; skipping fleet bootstrap\n", ln.app)
+	default:
+		ln.bootstrap()
+	}
 	return ln, nil
+}
+
+func (l *loop) newSyncer(app string) *fleet.Syncer {
+	s := fleet.NewSyncer(l.cfg.Fleet, l.cfg.Host, app)
+	s.Logf = l.logf
+	return s
+}
+
+// follow starts ln's Follow goroutine in -stream mode, so a violation
+// learned on another host reaches this one within a control period
+// instead of at -sync-every cadence. Follow only stashes deltas; adopt
+// merges them at period boundaries, so the live map is never touched
+// mid-period.
+func (l *loop) follow(ln *lane) {
+	if !l.cfg.Stream || ln.syncer == nil {
+		return
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	go func(s *fleet.Syncer) {
+		defer close(done)
+		s.Follow(ctx)
+	}(ln.syncer)
+	ln.unfollow = func() {
+		cancel()
+		<-done
+	}
+}
+
+// stopFollowing cancels the lane's Follow goroutine and waits for it.
+func (ln *lane) stopFollowing() {
+	if ln.unfollow != nil {
+		ln.unfollow()
+		ln.unfollow = nil
+	}
 }
 
 // restore adopts the lane's checkpoint before its first period. A
@@ -682,10 +707,8 @@ func (l *loop) sync(ln *lane, throttled bool) {
 	}
 	if err := ln.syncer.Heartbeat(fleet.Heartbeat{
 		Periods: ln.periods, Violations: ln.viols, Throttled: throttled,
-	}); err == nil {
-		if degraded, _ := ln.syncer.Degraded(); !degraded && l.cfg.Verbose {
-			fmt.Printf("stayawayd: %s: registry sync ok, revision %d\n", ln.app, ln.syncer.LastRevision())
-		}
+	}); err == nil && l.cfg.Verbose {
+		fmt.Printf("stayawayd: %s: registry sync ok, revision %d\n", ln.app, ln.syncer.Stats().Revision)
 	}
 }
 
@@ -696,10 +719,10 @@ func (l *loop) sync(ln *lane, throttled bool) {
 // silently losing fleet state.
 func (l *loop) adopt() {
 	for _, ln := range l.lanes {
-		if ln.stream == nil {
+		if ln.syncer == nil {
 			continue
 		}
-		d := ln.stream.TakeUpdate()
+		d := ln.syncer.TakeUpdate()
 		if d == nil {
 			continue
 		}
@@ -708,7 +731,7 @@ func (l *loop) adopt() {
 			fmt.Fprintf(os.Stderr, "stayawayd: %s: fleet delta rejected: %v\n", ln.app, err)
 			continue
 		}
-		ln.stream.MarkApplied(d.ToRevision)
+		ln.syncer.MarkApplied(d.ToRevision)
 		ln.merges++
 		ln.merged.Added += stats.Added
 		ln.merged.Upgraded += stats.Upgraded
@@ -720,13 +743,44 @@ func (l *loop) adopt() {
 	}
 }
 
+// writeMetrics renders the live lanes' sync state — push/degraded
+// counters, and stream traffic for lanes that follow — to -metrics-file in
+// Prometheus text format: the host-side half of the fleet observability
+// story (the registry serves the other half at /metrics).
 func (l *loop) writeMetrics() {
 	if l.cfg.MetricsFile == "" || l.cfg.Fleet == nil {
 		return
 	}
-	if err := fsatomic.WriteFileFunc(l.cfg.MetricsFile, 0o644, l.cfg.Fleet.WriteMetrics); err != nil {
+	m := stream.NewMetricSet()
+	for _, ln := range l.lanes {
+		labels := []string{"app", ln.app}
+		st := ln.syncer.Stats()
+		m.Counter("stayaway_host_sync_pushes_total", "Successful sync operations.", labels...).Set(float64(st.Pushes))
+		m.Counter("stayaway_host_sync_failures_total", "Failed sync operations.", labels...).Set(float64(st.Failures))
+		m.Gauge("stayaway_host_sync_degraded", "1 while the lane protects from a stale local map.", labels...).Set(oneIf(st.Err != nil))
+		m.Gauge("stayaway_host_template_revision", "Registry revision the lane last synced.", labels...).Set(float64(st.Revision))
+		if ln.unfollow != nil {
+			m.Gauge("stayaway_host_stream_live", "1 while the push stream is connected.", labels...).Set(oneIf(st.Streaming))
+			m.Counter("stayaway_host_stream_events_total", "Delta events accepted from the stream.", labels...).Set(float64(st.Events))
+			m.Counter("stayaway_host_stream_reconnects_total", "Stream reconnect attempts.", labels...).Set(float64(st.Reconnects))
+			m.Counter("stayaway_host_stream_resets_total", "Server resets (lost resume position).", labels...).Set(float64(st.Resets))
+			m.Counter("stayaway_host_stream_polls_total", "Fallback delta polls.", labels...).Set(float64(st.Polls))
+		}
+	}
+	err := fsatomic.WriteFileFunc(l.cfg.MetricsFile, 0o644, func(w io.Writer) error {
+		_, err := m.WriteTo(w)
+		return err
+	})
+	if err != nil {
 		fmt.Fprintf(os.Stderr, "stayawayd: metrics-file: %v\n", err)
 	}
+}
+
+func oneIf(b bool) float64 {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 func (l *loop) checkpoint() {

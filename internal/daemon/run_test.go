@@ -245,9 +245,9 @@ func TestRunNeedsTicks(t *testing.T) {
 // With -sync-every and -checkpoint-every unset (≤ 0), the loop pushes
 // and checkpoints at the flag default, every 30 periods.
 func TestRunCadenceDefaults(t *testing.T) {
-	ts, reg := registryFixture(t)
+	ts, reg, _ := registryFixture(t)
 	f := newFixture(t, false, violating, "vlc")
-	f.cfg.Fleet = hostSyncer(t, ts.URL, "host-a", nil)
+	f.useFleet(t, ts.URL, "host-a", nil)
 	f.cfg.StateDir = filepath.Join(f.dir, "state")
 	path := filepath.Join(f.cfg.StateDir, "checkpoint-vlc.json")
 	r := f.start(t, context.Background())
@@ -487,7 +487,7 @@ func TestRunCheckpointRoundTrip(t *testing.T) {
 }
 
 // registryFixture is an in-process fleet registry with a push stream.
-func registryFixture(t *testing.T) (*httptest.Server, *registry.Registry) {
+func registryFixture(t *testing.T) (*httptest.Server, *registry.Registry, *stream.Hub) {
 	t.Helper()
 	hub := stream.NewHub(stream.HubConfig{Epoch: 1})
 	t.Cleanup(hub.Close)
@@ -501,7 +501,7 @@ func registryFixture(t *testing.T) (*httptest.Server, *registry.Registry) {
 	}
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
-	return ts, reg
+	return ts, reg, hub
 }
 
 // gatedTransport fails every request while down: a registry outage.
@@ -526,7 +526,9 @@ func (g *gatedTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 	return http.DefaultTransport.RoundTrip(req)
 }
 
-func hostSyncer(t *testing.T, url, host string, rt http.RoundTripper) *fleet.HostSyncer {
+// useFleet points the daemon at the registry at url as host, through rt
+// (nil: the default transport).
+func (f *fixture) useFleet(t *testing.T, url, host string, rt http.RoundTripper) {
 	t.Helper()
 	c, err := fleet.NewClient(fleet.ClientConfig{
 		BaseURL:   url,
@@ -539,17 +541,17 @@ func hostSyncer(t *testing.T, url, host string, rt http.RoundTripper) *fleet.Hos
 	if err != nil {
 		t.Fatal(err)
 	}
-	return fleet.NewHostSyncer(c, host)
+	f.cfg.Fleet, f.cfg.Host = c, host
 }
 
 // Each lane pushes its map every SyncEvery periods and once on exit.
 func TestRunPushesTemplateOnCadence(t *testing.T) {
-	ts, reg := registryFixture(t)
+	ts, reg, _ := registryFixture(t)
 	f := newFixture(t, false, violating, "vlc")
-	f.cfg.Fleet = hostSyncer(t, ts.URL, "host-a", nil)
+	f.useFleet(t, ts.URL, "host-a", nil)
 	f.cfg.SyncEvery = 10
-	syncer := f.cfg.Fleet.Lane("vlc")
 	r := f.start(t, context.Background())
+	syncer := r.l.lanes[0].syncer
 	revision := func() int {
 		e, _ := reg.Get("vlc", "")
 		return e.Revision
@@ -566,8 +568,8 @@ func TestRunPushesTemplateOnCadence(t *testing.T) {
 	if err := r.stop(); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	if pushes, failures := syncer.Stats(); pushes != 3 || failures != 0 {
-		t.Errorf("sync stats = %d ok, %d failed; want 3 pushes (10, 20, exit)", pushes, failures)
+	if st := syncer.Stats(); st.Pushes != 3 || st.Failures != 0 {
+		t.Errorf("sync stats = %d ok, %d failed; want 3 pushes (10, 20, exit)", st.Pushes, st.Failures)
 	}
 	e, ok := reg.Get("vlc", "")
 	if !ok || e.Revision != 3 {
@@ -584,13 +586,13 @@ func TestRunPushesTemplateOnCadence(t *testing.T) {
 // A registry that never answers costs the host no control: every period
 // runs and throttles, every sync fails, and Run still exits cleanly.
 func TestRunToleratesPushFailures(t *testing.T) {
-	ts, reg := registryFixture(t)
+	ts, reg, _ := registryFixture(t)
 	gate := &gatedTransport{down: true}
 	f := newFixture(t, false, violating, "vlc")
-	f.cfg.Fleet = hostSyncer(t, ts.URL, "host-a", gate)
+	f.useFleet(t, ts.URL, "host-a", gate)
 	f.cfg.SyncEvery = 5
-	syncer := f.cfg.Fleet.Lane("vlc")
 	r := f.start(t, context.Background())
+	syncer := r.l.lanes[0].syncer
 	r.tick(28)
 	if err := r.stop(); err != nil {
 		t.Fatalf("Run = %v; failed pushes must not stop the loop", err)
@@ -603,11 +605,12 @@ func TestRunToleratesPushFailures(t *testing.T) {
 	}
 	// The failed bootstrap, then a failed push and heartbeat at 5, 10,
 	// 15, 20, 25 and exit.
-	if pushes, failures := syncer.Stats(); pushes != 0 || failures != 13 {
-		t.Errorf("sync stats = %d ok, %d failed; want none ok and 13 failed", pushes, failures)
+	st := syncer.Stats()
+	if st.Pushes != 0 || st.Failures != 13 {
+		t.Errorf("sync stats = %d ok, %d failed; want none ok and 13 failed", st.Pushes, st.Failures)
 	}
-	if degraded, err := syncer.Degraded(); !degraded || err == nil || !strings.Contains(err.Error(), "simulated outage") {
-		t.Errorf("syncer degraded = %v with %v, want the outage error", degraded, err)
+	if st.Err == nil || !strings.Contains(st.Err.Error(), "simulated outage") {
+		t.Errorf("syncer degraded with %v, want the outage error", st.Err)
 	}
 	if e, ok := reg.Get("vlc", ""); ok {
 		t.Errorf("registry holds %+v through a total outage", e)
@@ -619,14 +622,14 @@ func TestRunToleratesPushFailures(t *testing.T) {
 // it degraded, the first push after recovery resyncs, and shutdown
 // flushes one final push.
 func TestRunRegistryOutageMidRun(t *testing.T) {
-	ts, reg := registryFixture(t)
+	ts, reg, _ := registryFixture(t)
 	gate := &gatedTransport{}
 	f := newFixture(t, false, violating, "vlc")
-	f.cfg.Fleet = hostSyncer(t, ts.URL, "host-a", gate)
+	f.useFleet(t, ts.URL, "host-a", gate)
 	f.cfg.SyncEvery = 5
 	f.cfg.StateDir = filepath.Join(f.dir, "state")
-	syncer := f.cfg.Fleet.Lane("vlc")
 	r := f.start(t, context.Background())
+	syncer := r.l.lanes[0].syncer
 
 	r.tick(13) // periods 1–12: pushes at 5 and 10
 	if e, ok := reg.Get("vlc", ""); !ok || e.Revision != 2 {
@@ -634,7 +637,7 @@ func TestRunRegistryOutageMidRun(t *testing.T) {
 	}
 	gate.setDown(true)
 	r.tick(10) // periods 13–22: the syncs at 15 and 20 fail
-	if degraded, err := syncer.Degraded(); !degraded || err == nil {
+	if syncer.Stats().Err == nil {
 		t.Error("outage not reflected in the syncer state")
 	}
 	gate.setDown(false)
@@ -643,12 +646,13 @@ func TestRunRegistryOutageMidRun(t *testing.T) {
 		t.Fatalf("Run: %v", err)
 	}
 
-	if degraded, _ := syncer.Degraded(); degraded {
+	st := syncer.Stats()
+	if st.Err != nil {
 		t.Error("syncer still degraded after recovery")
 	}
 	// Each failed sync point is one failed push and one failed heartbeat.
-	if pushes, failures := syncer.Stats(); failures != 4 || pushes != 4 {
-		t.Errorf("sync stats = %d ok, %d failed; want 4 pushes (5, 10, 25, exit) and 4 failures", pushes, failures)
+	if st.Failures != 4 || st.Pushes != 4 {
+		t.Errorf("sync stats = %d ok, %d failed; want 4 pushes (5, 10, 25, exit) and 4 failures", st.Pushes, st.Failures)
 	}
 	e, ok := reg.Get("vlc", "")
 	if !ok || e.Revision != 4 || len(e.Template.States) == 0 {
@@ -660,43 +664,47 @@ func TestRunRegistryOutageMidRun(t *testing.T) {
 }
 
 func TestRunSkipsPushWhileMapEmpty(t *testing.T) {
-	ts, reg := registryFixture(t)
+	ts, reg, _ := registryFixture(t)
 	f := newFixture(t, false, healthy, "vlc")
-	f.cfg.Fleet = hostSyncer(t, ts.URL, "host-a", nil)
+	f.useFleet(t, ts.URL, "host-a", nil)
 	r := f.start(t, context.Background())
 	// The loop exits before any period: the exit push finds an empty map.
 	if err := r.stop(); err != nil {
 		t.Fatal(err)
 	}
-	if pushes, failures := f.cfg.Fleet.Lane("vlc").Stats(); pushes != 0 || failures != 0 {
-		t.Errorf("sync stats = %d ok, %d failed; want no push of an empty map", pushes, failures)
+	if st := r.l.lanes[0].syncer.Stats(); st.Pushes != 0 || st.Failures != 0 {
+		t.Errorf("sync stats = %d ok, %d failed; want no push of an empty map", st.Pushes, st.Failures)
 	}
 	if e, ok := reg.Get("vlc", ""); ok {
 		t.Errorf("pushed an empty map: registry holds %+v", e)
 	}
 }
 
-// learn runs a one-lane daemon over its own tree for n periods with the
-// sensitive application at memMB of memory, pushing its map to the
-// registry at url on exit.
-func learn(t *testing.T, url string, memMB, n int) {
+// learn runs a one-lane daemon for app, its sensitive cgroup at cg, over
+// its own tree for six periods with the application violating at memMB of
+// memory, pushing its map to the registry at url on exit.
+func learn(t *testing.T, url, app, cg string, memMB int) {
 	t.Helper()
-	f := newFixture(t, false, violating, "vlc")
-	f.tree.Set("s/vlc/memory.current", fmt.Sprintf("%d\n", memMB<<20))
-	f.cfg.Fleet = hostSyncer(t, url, "host-donor", nil)
+	f := newFixture(t, false, violating, app)
+	if d := &f.cfg.Lanes.Lanes[0]; d.SensitiveCgroup != cg {
+		f.tree.AddCgroup(cg, memberPID)
+		d.SensitiveCgroup = cg
+	}
+	f.tree.Set(cg+"/memory.current", fmt.Sprintf("%d\n", memMB<<20))
+	f.useFleet(t, url, "host-donor", nil)
 	r := f.start(t, context.Background())
-	r.tick(n)
+	r.tick(6)
 	if err := r.stop(); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestRunBootstrapsFromFleet(t *testing.T) {
-	ts, _ := registryFixture(t)
-	learn(t, ts.URL, 2048, 6)
+	ts, _, _ := registryFixture(t)
+	learn(t, ts.URL, "vlc", "s/vlc", 2048)
 
 	f := newFixture(t, false, healthy, "vlc")
-	f.cfg.Fleet = hostSyncer(t, ts.URL, "host-b", nil)
+	f.useFleet(t, ts.URL, "host-b", nil)
 	f.wire(t, nil)
 	l, err := newLoop(f.cfg)
 	if err != nil {
@@ -706,8 +714,8 @@ func TestRunBootstrapsFromFleet(t *testing.T) {
 		t.Errorf("bootstrapped lane holds %d states (violations %v) before its first period, want the fleet's map",
 			sp.Len(), sp.HasViolations())
 	}
-	if rev := l.lanes[0].syncer.LastRevision(); rev != 1 {
-		t.Errorf("bootstrap revision = %d, want 1", rev)
+	if st := l.lanes[0].syncer.Stats(); st.Revision != 1 || st.Applied != 1 {
+		t.Errorf("bootstrap revisions = synced %d, applied %d; want 1, 1", st.Revision, st.Applied)
 	}
 }
 
@@ -715,16 +723,13 @@ func TestRunBootstrapsFromFleet(t *testing.T) {
 // the lane rejects leaves the stream's revision cursor where it was, so
 // a later poll re-fetches it.
 func TestRunAdoptsStreamedDeltaAtPeriodBoundary(t *testing.T) {
-	ts, reg := registryFixture(t)
+	ts, reg, _ := registryFixture(t)
 	f := newFixture(t, false, healthy, "vlc")
-	f.cfg.Fleet = hostSyncer(t, ts.URL, "host-b", nil)
+	f.useFleet(t, ts.URL, "host-b", nil)
 	f.cfg.Stream = true
 	r := f.start(t, context.Background())
-	var ss *fleet.StreamSyncer
-	waitFor(t, "the stream to connect", func() bool {
-		ss = f.cfg.Fleet.Stream("vlc")
-		return ss != nil && ss.Streaming()
-	})
+	ss := r.l.lanes[0].syncer
+	waitFor(t, "the stream to connect", func() bool { return ss.Stats().Streaming })
 	r.tick(3)
 	states := func() int { return r.l.board.Snapshot().Lanes[0].States }
 	before := states()
@@ -742,11 +747,11 @@ func TestRunAdoptsStreamedDeltaAtPeriodBoundary(t *testing.T) {
 	}
 	waitFor(t, "the foreign delta", func() bool { return ss.Stats().Events == 1 })
 	r.tick(2)
-	if rev := ss.Revision(); rev != 0 {
+	if rev := ss.Stats().Applied; rev != 0 {
 		t.Errorf("revision cursor = %d after a rejected delta, want 0", rev)
 	}
 
-	learn(t, ts.URL, 2048, 6)
+	learn(t, ts.URL, "vlc", "s/vlc", 2048)
 	waitFor(t, "the donor's delta", func() bool { return ss.Stats().Events == 2 })
 	if got := states(); got != before {
 		t.Fatalf("map changed from %d to %d states between periods", before, got)
@@ -755,7 +760,7 @@ func TestRunAdoptsStreamedDeltaAtPeriodBoundary(t *testing.T) {
 	if got := states(); got <= before {
 		t.Errorf("map has %d states after the boundary, want more than %d", got, before)
 	}
-	if rev := ss.Revision(); rev != 1 {
+	if rev := ss.Stats().Applied; rev != 1 {
 		t.Errorf("revision cursor = %d after the merge, want 1", rev)
 	}
 	if err := r.stop(); err != nil {

@@ -66,7 +66,7 @@ type FleetReport struct {
 
 // fleetHost is one simulated subscriber: an application it follows, a hub
 // subscription, and a revision cursor — the in-process analogue of a
-// StreamSyncer.
+// following fleet.Syncer.
 type fleetHost struct {
 	app     string
 	sub     *stream.Subscriber
@@ -164,10 +164,11 @@ func runFleet(seed int64, hosts int) (FleetRow, error) {
 	// the stalled cohort, like a wedged SSE client would in production.
 	hub := stream.NewHub(stream.HubConfig{Epoch: 1, QueueLen: 8, Replay: 64})
 	defer hub.Close()
-	reg, err := registry.OpenSharded(registry.Config{
+	reg, err := registry.Open(registry.Config{
 		MergeEpsilon: registry.DefaultMergeEpsilon,
 		OnPut:        fleet.PublishHook(hub),
-	}, 4)
+		Shards:       4,
+	})
 	if err != nil {
 		return row, err
 	}

@@ -248,11 +248,8 @@ func TestSyncerDegradesAndRecovers(t *testing.T) {
 	if err := s.PushTemplate(testTemplate("vlc")); err != nil {
 		t.Fatal(err)
 	}
-	if degraded, _ := s.Degraded(); degraded {
-		t.Error("healthy push left syncer degraded")
-	}
-	if s.LastRevision() != 1 {
-		t.Errorf("revision = %d, want 1", s.LastRevision())
+	if st := s.Stats(); st.Err != nil || st.Revision != 1 {
+		t.Errorf("after a healthy push: err %v, revision %d; want nil, 1", st.Err, st.Revision)
 	}
 
 	// Outage: pushes fail, syncer flips to degraded, nothing panics.
@@ -260,7 +257,7 @@ func TestSyncerDegradesAndRecovers(t *testing.T) {
 	if err := s.PushTemplate(testTemplate("vlc")); err == nil {
 		t.Fatal("push during outage must error")
 	}
-	if degraded, lastErr := s.Degraded(); !degraded || lastErr == nil {
+	if s.Stats().Err == nil {
 		t.Error("outage did not mark syncer degraded")
 	}
 	if err := s.Heartbeat(Heartbeat{Periods: 10}); err == nil {
@@ -272,15 +269,20 @@ func TestSyncerDegradesAndRecovers(t *testing.T) {
 	if err := s.PushTemplate(testTemplate("vlc")); err != nil {
 		t.Fatal(err)
 	}
-	if degraded, _ := s.Degraded(); degraded {
+	st := s.Stats()
+	if st.Err != nil {
 		t.Error("successful resync left syncer degraded")
 	}
-	if s.LastRevision() != 2 {
-		t.Errorf("revision after resync = %d, want 2", s.LastRevision())
+	if st.Revision != 2 {
+		t.Errorf("revision after resync = %d, want 2", st.Revision)
 	}
-	pushes, failures := s.Stats()
-	if pushes != 2 || failures != 2 {
-		t.Errorf("stats = %d pushes %d failures, want 2/2", pushes, failures)
+	if st.Pushes != 2 || st.Failures != 2 {
+		t.Errorf("stats = %d pushes %d failures, want 2/2", st.Pushes, st.Failures)
+	}
+	// A push advances the synced revision, never the stream cursor: the
+	// reply revision includes states the lane has not seen.
+	if st.Applied != 0 {
+		t.Errorf("applied revision after pushes = %d, want 0", st.Applied)
 	}
 	// Heartbeat carries the synced revision.
 	if err := s.Heartbeat(Heartbeat{Periods: 20}); err != nil {

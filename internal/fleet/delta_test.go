@@ -210,18 +210,11 @@ func TestMergeWhileStreaming(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 
-	ss, err := NewStreamSyncer(StreamSyncerConfig{
-		Client:       c,
-		App:          "vlc",
-		ReconnectMin: 5 * time.Millisecond,
-		ReconnectMax: 20 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	ss := NewSyncer(c, "host-a", "vlc")
+	ss.backoffMin, ss.backoffMax = 5*time.Millisecond, 20*time.Millisecond
 	runDone := make(chan struct{})
 	go func() {
-		ss.Run(ctx)
+		ss.Follow(ctx)
 		close(runDone)
 	}()
 
@@ -260,7 +253,7 @@ func TestMergeWhileStreaming(t *testing.T) {
 			local = merged
 			ss.MarkApplied(d.ToRevision)
 		}
-		if ss.Revision() >= puts {
+		if ss.Stats().Applied >= puts {
 			break
 		}
 		select {
@@ -271,7 +264,7 @@ func TestMergeWhileStreaming(t *testing.T) {
 			pushDone = nil // keep looping until the stream catches up
 		case <-deadline:
 			t.Fatalf("stream never converged: at revision %d of %d (stats %+v)",
-				ss.Revision(), puts, ss.Stats())
+				ss.Stats().Applied, puts, ss.Stats())
 		case <-time.After(2 * time.Millisecond):
 		}
 	}
@@ -292,7 +285,7 @@ func TestMergeWhileStreaming(t *testing.T) {
 	if viol < 5 {
 		t.Fatalf("local template has %d violation states, want >= 5 (states %d)", viol, len(local.States))
 	}
-	if got, want := ss.Revision(), puts; got != want {
+	if got, want := ss.Stats().Applied, puts; got != want {
 		t.Fatalf("final revision = %d, want %d", got, want)
 	}
 }

@@ -26,21 +26,10 @@ const revisionHeader = "X-Stayaway-Revision"
 // hostHeader identifies the uploading host on template PUTs.
 const hostHeader = "X-Stayaway-Host"
 
-// Store is the template store the server fronts: a single
-// *registry.Registry or a *registry.Sharded, which shard by sensitive-app
-// key behind this one interface so the HTTP surface is routing-agnostic.
-type Store interface {
-	Put(host string, t *statespace.Template) (*registry.Entry, error)
-	Get(app, schema string) (*registry.Entry, bool)
-	DeltaSince(app, schema string, since int) (*statespace.TemplateDelta, bool)
-	Entries() []*registry.Entry
-	Len() int
-}
-
 // ServerConfig tunes the control-plane server.
 type ServerConfig struct {
 	// Registry is the backing template store. Required.
-	Registry Store
+	Registry *registry.Registry
 	// Now is the clock, injectable for tests; nil uses time.Now.
 	Now func() time.Time
 	// Logf, when non-nil, receives one line per rejected request.

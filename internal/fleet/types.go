@@ -1,9 +1,11 @@
 // Package fleet is the HTTP control plane that lets Stay-Away hosts share
 // learned state-space templates (§6 scaled from one host to a fleet): a
-// JSON API server fronting the template registry, and a client with
-// timeouts, retry/backoff, and graceful degradation — when the registry is
-// unreachable a daemon keeps controlling from its local map and resyncs
-// once the registry recovers.
+// JSON API server fronting the template registry, with delta sync and an
+// SSE push stream; a client with timeouts and retry/backoff; and Syncer,
+// one per protected application lane, which bootstraps the lane, pushes
+// its map, and follows the stream with delta-poll fallback. Sync degrades
+// gracefully: when the registry is unreachable a daemon keeps controlling
+// from its local map and resyncs once the registry recovers.
 package fleet
 
 import (

@@ -38,7 +38,7 @@ func BenchmarkRegistrySharded(b *testing.B) {
 	const apps = 64
 	for _, shards := range []int{1, 4, 16} {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			reg, err := OpenSharded(Config{Now: testClock(), MergeEpsilon: 0.01}, shards)
+			reg, err := Open(Config{Now: testClock(), MergeEpsilon: 0.01, Shards: shards})
 			if err != nil {
 				b.Fatal(err)
 			}

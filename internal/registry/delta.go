@@ -119,24 +119,23 @@ func entryDelta(e *Entry, since int) *statespace.TemplateDelta {
 // current revision yields an empty delta (the cheap "you are current"
 // reply).
 func (r *Registry) DeltaSince(app, schema string, since int) (*statespace.TemplateDelta, bool) {
-	r.mu.RLock()
-	e := r.lookupLocked(app, schema)
+	s := r.shardOf(app)
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	e := s.lookupLocked(app, schema)
 	if e == nil {
-		r.mu.RUnlock()
 		return nil, false
 	}
-	d := entryDelta(e, since)
-	r.mu.RUnlock()
-	return d, true
+	return entryDelta(e, since), true
 }
 
-// lookupLocked finds the entry Get would return; callers hold r.mu.
-func (r *Registry) lookupLocked(app, schema string) *Entry {
+// lookupLocked finds the entry Get would return; callers hold s.mu.
+func (s *shard) lookupLocked(app, schema string) *Entry {
 	if schema != "" {
-		return r.entries[Key{App: app, Schema: schema}]
+		return s.entries[Key{App: app, Schema: schema}]
 	}
 	var best *Entry
-	for _, e := range r.entries {
+	for _, e := range s.entries {
 		if e.Key.App != app {
 			continue
 		}

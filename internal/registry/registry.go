@@ -102,9 +102,14 @@ func (e *Entry) sanitizeRevs() bool {
 // Config tunes a Registry.
 type Config struct {
 	// Dir is the persistence directory; entries survive restarts as one
-	// JSON file each, replaced atomically (temp file + rename). Empty
-	// means in-memory only.
+	// JSON file each under Dir/shard-NN, replaced atomically (temp file +
+	// rename). Empty means in-memory only.
 	Dir string
+	// Shards splits the store into that many independently locked shards,
+	// routed by ShardFor; 0 means 1. With a Dir the count is pinned in
+	// Dir/shards.json on first open, and reopening with a different count
+	// fails rather than re-routing apps away from their stored history.
+	Shards int
 	// MergeEpsilon is the vector distance under which states from
 	// different hosts collapse into one consensus state; 0 uses
 	// DefaultMergeEpsilon.
@@ -113,8 +118,8 @@ type Config struct {
 	Now func() time.Time
 	// OnPut, when non-nil, is invoked after every accepted Put with the
 	// new entry and the incremental delta from the previous revision —
-	// the streaming control plane's publish hook. It runs with the
-	// registry lock held so events observe revisions in order; the hook
+	// the streaming control plane's publish hook. It runs with the app's
+	// shard lock held so events observe revisions in order; the hook
 	// must be fast, must not block, and must not call back into the
 	// registry.
 	OnPut PutHook
@@ -125,15 +130,27 @@ type Config struct {
 // (or the full template for a first Put).
 type PutHook func(e *Entry, d *statespace.TemplateDelta)
 
-// Registry is the store. Safe for concurrent use.
+// Registry is the store, split into shards by sensitive-app key: every
+// Put pays an O(states²) merge under its shard's lock, so templates for
+// different applications never contend on a lock, never share a merge,
+// and persist under separate directories. Safe for concurrent use.
 type Registry struct {
-	cfg Config
+	cfg    Config
+	shards []*shard
+}
+
+// shard is one independently locked part of the store.
+type shard struct {
+	dir string // persistence directory; "" when in-memory
 
 	mu      sync.RWMutex
 	entries map[Key]*Entry
 }
 
-// Open creates a registry, loading any entries previously persisted in
+// shardMarker is the shard-count pin, one per persistence directory.
+const shardMarker = "shards.json"
+
+// Open creates a registry, loading any entries previously persisted under
 // cfg.Dir (created if missing). Unreadable entry files fail Open rather
 // than being dropped silently.
 func Open(cfg Config) (*Registry, error) {
@@ -143,44 +160,114 @@ func Open(cfg Config) (*Registry, error) {
 	if cfg.MergeEpsilon <= 0 {
 		cfg.MergeEpsilon = DefaultMergeEpsilon
 	}
-	r := &Registry{cfg: cfg, entries: make(map[Key]*Entry)}
-	if cfg.Dir == "" {
-		return r, nil
+	if cfg.Shards < 1 {
+		cfg.Shards = 1
 	}
-	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
-		return nil, fmt.Errorf("registry: create dir: %w", err)
+	if cfg.Dir != "" {
+		if err := pinShardCount(cfg.Dir, cfg.Shards); err != nil {
+			return nil, err
+		}
 	}
-	files, err := os.ReadDir(cfg.Dir)
+	r := &Registry{cfg: cfg, shards: make([]*shard, cfg.Shards)}
+	for i := range r.shards {
+		s := &shard{entries: make(map[Key]*Entry)}
+		if cfg.Dir != "" {
+			s.dir = filepath.Join(cfg.Dir, fmt.Sprintf("shard-%02d", i))
+			if err := s.load(); err != nil {
+				return nil, fmt.Errorf("registry: shard %d: %w", i, err)
+			}
+		}
+		r.shards[i] = s
+	}
+	return r, nil
+}
+
+// load reads every entry persisted in the shard's directory.
+func (s *shard) load() error {
+	if err := os.MkdirAll(s.dir, 0o755); err != nil {
+		return fmt.Errorf("registry: create dir: %w", err)
+	}
+	files, err := os.ReadDir(s.dir)
 	if err != nil {
-		return nil, fmt.Errorf("registry: read dir: %w", err)
+		return fmt.Errorf("registry: read dir: %w", err)
 	}
 	for _, f := range files {
 		if f.IsDir() || !strings.HasSuffix(f.Name(), ".json") {
 			continue
 		}
-		path := filepath.Join(cfg.Dir, f.Name())
-		data, err := os.ReadFile(path)
+		data, err := os.ReadFile(filepath.Join(s.dir, f.Name()))
 		if err != nil {
-			return nil, fmt.Errorf("registry: load %s: %w", f.Name(), err)
+			return fmt.Errorf("registry: load %s: %w", f.Name(), err)
 		}
 		var e Entry
 		if err := json.Unmarshal(data, &e); err != nil {
-			return nil, fmt.Errorf("registry: parse %s: %w", f.Name(), err)
+			return fmt.Errorf("registry: parse %s: %w", f.Name(), err)
 		}
 		if e.Template == nil {
-			return nil, fmt.Errorf("registry: %s has no template", f.Name())
+			return fmt.Errorf("registry: %s has no template", f.Name())
 		}
 		if err := e.Template.Validate(); err != nil {
-			return nil, fmt.Errorf("registry: %s: %w", f.Name(), err)
+			return fmt.Errorf("registry: %s: %w", f.Name(), err)
 		}
 		if e.Hosts == nil {
 			e.Hosts = make(map[string]int)
 		}
 		e.sanitizeRevs()
-		r.entries[e.Key] = &e
+		s.entries[e.Key] = &e
 	}
-	return r, nil
+	return nil
 }
+
+// pinShardCount creates or verifies the shard-count marker under dir.
+// Routing is a stable hash of the app name, so changing the count would
+// send apps to shards that cannot see their history.
+func pinShardCount(dir string, n int) error {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return fmt.Errorf("registry: create dir: %w", err)
+	}
+	type marker struct {
+		Shards int `json:"shards"`
+	}
+	path := filepath.Join(dir, shardMarker)
+	data, err := os.ReadFile(path)
+	switch {
+	case os.IsNotExist(err):
+		body, err := json.Marshal(marker{Shards: n})
+		if err != nil {
+			return fmt.Errorf("registry: marshal shard marker: %w", err)
+		}
+		if err := fsatomic.WriteFile(path, append(body, '\n'), 0o644); err != nil {
+			return fmt.Errorf("registry: pin shard count: %w", err)
+		}
+		return nil
+	case err != nil:
+		return fmt.Errorf("registry: read shard marker: %w", err)
+	}
+	var pinned marker
+	if err := json.Unmarshal(data, &pinned); err != nil {
+		return fmt.Errorf("registry: parse %s: %w", shardMarker, err)
+	}
+	if pinned.Shards != n {
+		return fmt.Errorf("registry: store %s was created with %d shards, reopened with %d; "+
+			"shard count is part of the routing function and cannot change",
+			dir, pinned.Shards, n)
+	}
+	return nil
+}
+
+// ShardFor returns the shard index app routes to: an FNV-1a hash of the
+// app name modulo the shard count. Every template operation for one
+// sensitive application lands on one shard.
+func (r *Registry) ShardFor(app string) int {
+	h := fnv.New32a()
+	h.Write([]byte(app))
+	return int(h.Sum32() % uint32(len(r.shards)))
+}
+
+// Shards reports the shard count.
+func (r *Registry) Shards() int { return len(r.shards) }
+
+func (r *Registry) shardOf(app string) *shard { return r.shards[r.ShardFor(app)] }
 
 // Put validates the template, merges it with the stored consensus map for
 // its (app, schema) key — Procrustes-aligning the upload onto the stored
@@ -201,10 +288,11 @@ func (r *Registry) Put(host string, t *statespace.Template) (*Entry, error) {
 	}
 	key := Key{App: t.SensitiveApp, Schema: t.SchemaKey()}
 
-	r.mu.Lock()
-	defer r.mu.Unlock()
+	s := r.shardOf(key.App)
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	var next, prev *Entry
-	if cur, ok := r.entries[key]; ok {
+	if cur, ok := s.entries[key]; ok {
 		prev = cur
 		merged, err := MergeTemplates(cur.Template, t, r.cfg.MergeEpsilon)
 		if err != nil {
@@ -225,14 +313,14 @@ func (r *Registry) Put(host string, t *statespace.Template) (*Entry, error) {
 	next.UpdatedAt = r.cfg.Now()
 	trackRevisions(prev, next)
 
-	if err := r.persist(next); err != nil {
+	if err := s.persist(next); err != nil {
 		return nil, err
 	}
 	// The registry is keyed by (app, schema): one entry per deployed
 	// workload template, bounded by fleet configuration rather than
 	// request volume, and evicting would discard learned state that Put
 	// exists to accumulate.
-	r.entries[key] = next
+	s.entries[key] = next
 	if r.cfg.OnPut != nil {
 		since := 0
 		if prev != nil {
@@ -246,9 +334,10 @@ func (r *Registry) Put(host string, t *statespace.Template) (*Entry, error) {
 // Get returns the entry for app. schema narrows to an exact (app, schema)
 // key; when empty, the most recently updated entry for the app wins.
 func (r *Registry) Get(app, schema string) (*Entry, bool) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	e := r.lookupLocked(app, schema)
+	s := r.shardOf(app)
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	e := s.lookupLocked(app, schema)
 	if e == nil {
 		return nil, false
 	}
@@ -257,11 +346,13 @@ func (r *Registry) Get(app, schema string) (*Entry, bool) {
 
 // Entries returns all entries, ordered by key for deterministic listings.
 func (r *Registry) Entries() []*Entry {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]*Entry, 0, len(r.entries))
-	for _, e := range r.entries {
-		out = append(out, e.clone())
+	var out []*Entry
+	for _, s := range r.shards {
+		s.mu.RLock()
+		for _, e := range s.entries {
+			out = append(out, e.clone())
+		}
+		s.mu.RUnlock()
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Key.String() < out[j].Key.String() })
 	return out
@@ -269,15 +360,19 @@ func (r *Registry) Entries() []*Entry {
 
 // Len reports the number of stored entries.
 func (r *Registry) Len() int {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return len(r.entries)
+	n := 0
+	for _, s := range r.shards {
+		s.mu.RLock()
+		n += len(s.entries)
+		s.mu.RUnlock()
+	}
+	return n
 }
 
 // persist writes the entry to its file via temp-file + rename so readers
-// (and a crash) never observe a torn write. No-op without a Dir.
-func (r *Registry) persist(e *Entry) error {
-	if r.cfg.Dir == "" {
+// (and a crash) never observe a torn write. No-op when in-memory.
+func (s *shard) persist(e *Entry) error {
+	if s.dir == "" {
 		return nil
 	}
 	data, err := json.MarshalIndent(e, "", "  ")
@@ -285,7 +380,7 @@ func (r *Registry) persist(e *Entry) error {
 		return fmt.Errorf("registry: marshal entry %s: %w", e.Key, err)
 	}
 	data = append(data, '\n')
-	path := filepath.Join(r.cfg.Dir, entryFilename(e.Key))
+	path := filepath.Join(s.dir, entryFilename(e.Key))
 	if err := fsatomic.WriteFile(path, data, 0o644); err != nil {
 		return fmt.Errorf("registry: persist entry %s: %w", e.Key, err)
 	}

@@ -111,7 +111,7 @@ func TestPersistenceSurvivesReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 	// No temp droppings left behind.
-	files, err := os.ReadDir(dir)
+	files, err := os.ReadDir(filepath.Join(dir, "shard-00"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +145,10 @@ func TestPersistenceSurvivesReopen(t *testing.T) {
 
 func TestOpenRejectsCorruptEntryFile(t *testing.T) {
 	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, "bad.json"), []byte("{torn"), 0o644); err != nil {
+	if err := os.MkdirAll(filepath.Join(dir, "shard-00"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "shard-00", "bad.json"), []byte("{torn"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := Open(Config{Dir: dir}); err == nil {

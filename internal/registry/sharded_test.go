@@ -2,6 +2,7 @@ package registry
 
 import (
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"sort"
@@ -10,7 +11,7 @@ import (
 )
 
 func TestShardedRoutingAndListing(t *testing.T) {
-	s, err := OpenSharded(Config{Now: testClock()}, 4)
+	s, err := Open(Config{Now: testClock(), Shards: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -18,7 +19,7 @@ func TestShardedRoutingAndListing(t *testing.T) {
 	for _, app := range apps {
 		// Routing is a pure function of the app name: any instance with
 		// the same shard count agrees.
-		other, err := OpenSharded(Config{Now: testClock()}, 4)
+		other, err := Open(Config{Now: testClock(), Shards: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -63,7 +64,7 @@ func TestShardedRoutingAndListing(t *testing.T) {
 
 func TestShardedPersistencePinsShardCount(t *testing.T) {
 	dir := t.TempDir()
-	s, err := OpenSharded(Config{Dir: dir, Now: testClock()}, 4)
+	s, err := Open(Config{Dir: dir, Now: testClock(), Shards: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +74,7 @@ func TestShardedPersistencePinsShardCount(t *testing.T) {
 	}
 
 	// Reopening with the pinned count reloads the entry from its shard.
-	s2, err := OpenSharded(Config{Dir: dir, Now: testClock()}, 4)
+	s2, err := Open(Config{Dir: dir, Now: testClock(), Shards: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,13 +84,41 @@ func TestShardedPersistencePinsShardCount(t *testing.T) {
 
 	// A different count would re-route apps away from their history:
 	// refused.
-	if _, err := OpenSharded(Config{Dir: dir, Now: testClock()}, 8); err == nil {
+	if _, err := Open(Config{Dir: dir, Now: testClock(), Shards: 8}); err == nil {
 		t.Fatal("reopen with a different shard count accepted")
 	}
 
-	// The shard layout on disk is one subdirectory per shard plus the pin.
+	// The shard layout on disk is one subdirectory per shard plus the pin,
+	// and the entry lives in its app's shard.
 	if _, err := os.Stat(filepath.Join(dir, "shards.json")); err != nil {
 		t.Errorf("shard marker missing: %v", err)
+	}
+	shardDir := filepath.Join(dir, fmt.Sprintf("shard-%02d", s.ShardFor("vlc")))
+	if files, err := os.ReadDir(shardDir); err != nil || len(files) != 1 {
+		t.Errorf("shard dir %s holds %d files (err %v), want the vlc entry", shardDir, len(files), err)
+	}
+}
+
+// Shards 0 means one shard, so an unsharded store reopens a directory
+// written with Shards: 1.
+func TestZeroShardsMeansOne(t *testing.T) {
+	dir := t.TempDir()
+	r, err := Open(Config{Dir: dir, Now: testClock()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Shards() != 1 {
+		t.Fatalf("Shards() = %d, want 1", r.Shards())
+	}
+	if _, err := r.Put("host-a", tpl("vlc", testRanges(), [5]float64{0, 0, 0, 0.1, 0.1})); err != nil {
+		t.Fatal(err)
+	}
+	r2, err := Open(Config{Dir: dir, Now: testClock(), Shards: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e, ok := r2.Get("vlc", ""); !ok || e.Revision != 1 {
+		t.Fatalf("reloaded Get = %+v, %v", e, ok)
 	}
 }
 
@@ -120,7 +149,8 @@ func TestCorruptVersionVectorServesFull(t *testing.T) {
 	}
 
 	// Corrupt the persisted vector: truncate state_revs to one element.
-	files, err := os.ReadDir(dir)
+	shardDir := filepath.Join(dir, "shard-00")
+	files, err := os.ReadDir(shardDir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +159,7 @@ func TestCorruptVersionVectorServesFull(t *testing.T) {
 		if f.IsDir() || !strings.HasSuffix(f.Name(), ".json") {
 			continue
 		}
-		path := filepath.Join(dir, f.Name())
+		path := filepath.Join(shardDir, f.Name())
 		raw, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
