@@ -19,11 +19,13 @@
 //	-fleet         run the streaming fleet-convergence simulation
 //	-scenarios     run the open-loop scenario zoo and the open-vs-closed
 //	               QoS ablation (non-zero exit when the ablation gap
-//	               closes, protection regresses a class, or the suite is
+//	               closes, protection regresses a class, Stay-Away
+//	               violates more than its reactive arm, or the suite is
 //	               nondeterministic)
 //	-all           regenerate everything including the summary, ablations,
 //	               multi-tenant scenario, placement ablation, fleet
-//	               convergence, scenario zoo and chaos suite
+//	               convergence, scenario zoo, reactive reference and
+//	               chaos suite
 //	-o DIR         additionally write each figure to DIR/<id>.txt
 package main
 
@@ -184,6 +186,7 @@ func run() error {
 			}
 		}
 	}
+	var zoo *experiments.ZooReport
 	if *scenarios || *all {
 		f, report, err := experiments.ScenarioZoo(*seed)
 		if err != nil {
@@ -219,6 +222,25 @@ func run() error {
 				return fmt.Errorf("scenario zoo: nondeterministic replay: summary[%q] %v vs %v",
 					k, v, g.Summary[k])
 			}
+		}
+		// Gate 4: the forecast must not cost violations against reacting
+		// alone (the reactive reference).
+		for _, r := range report.Rows {
+			fmt.Printf("gate %-20s violations: Stay-Away %.3f <= reactive %.3f\n", r.Class, r.ProtectedRate, r.ReactiveRate)
+			if r.ProtectedRate > r.ReactiveRate {
+				return fmt.Errorf("scenario zoo: %s: Stay-Away violates more than its reactive arm (%.3f > %.3f)",
+					r.Class, r.ProtectedRate, r.ReactiveRate)
+			}
+		}
+		zoo = report
+	}
+	if *all {
+		f, err := experiments.ReactiveReference(*seed, zoo)
+		if err != nil {
+			return fmt.Errorf("reactive reference: %w", err)
+		}
+		if err := emit(f); err != nil {
+			return err
 		}
 	}
 	if *chaosSuite || *all {

@@ -144,7 +144,6 @@ type options struct {
 	recoverOnly   bool
 	lanesFile     string
 	reloadWatch   bool
-	eventWindow   int
 }
 
 // validate enforces the daemon's startup contract up front, before
@@ -253,10 +252,6 @@ func (o options) validate() (cgroupMode bool, err error) {
 	if o.reloadWatch && o.lanesFile == "" {
 		fail("-reload-watch requires -lanes-file (there is nothing else to watch)")
 	}
-	// 0 follows core.Config's contract: default window (4096).
-	if o.eventWindow < -1 {
-		fail("-event-window must be positive (events retained per lane), 0 for the default, or -1 for unbounded, got %d", o.eventWindow)
-	}
 	return cgroupMode, errors.Join(errs...)
 }
 
@@ -318,7 +313,6 @@ func run() error {
 	lanesFile := flag.String("lanes-file", "", "declarative lane config (lanes.json); reloaded live on SIGHUP or POST /v1/reload without restarting or dropping restrictions (cgroup mode only, replaces -sensitive-cgroup/-qos-file/-app)")
 	reloadWatch := flag.Bool("reload-watch", false, "poll -lanes-file for mtime/size changes every period and reload automatically")
 	adminAddr := flag.String("admin-addr", "", "HTTP admin surface listen address (/healthz, /readyz, /metrics, /v1/events SSE, /v1/reload); empty = disabled")
-	eventWindow := flag.Int("event-window", 4096, "per-period events retained per lane; memory is bounded by this times the Event size (~200B), so 4096 ≈ 800KB per lane; -1 retains everything (unbounded memory on long runs)")
 	verbose := flag.Bool("v", false, "print every period event")
 	flag.Parse()
 
@@ -365,7 +359,6 @@ func run() error {
 		recoverOnly:   *recoverOnly,
 		lanesFile:     *lanesFile,
 		reloadWatch:   *reloadWatch,
-		eventWindow:   *eventWindow,
 	}
 	cgroupMode, err := opts.validate()
 	if err != nil {
@@ -487,7 +480,7 @@ func run() error {
 
 	cfg.LanesFile, cfg.ReloadWatch = *lanesFile, *reloadWatch
 	cfg.Ranges = metrics.DefaultRanges(*cores, *memoryMB, *diskMBps, 1000)
-	cfg.Graded, cfg.EventWindow, cfg.Seed = *graded, *eventWindow, time.Now().UnixNano()
+	cfg.Graded, cfg.Seed = *graded, time.Now().UnixNano()
 	cfg.Ticks, cfg.Hangup, cfg.Period = ticker.C, hup, *period
 	cfg.StateDir, cfg.CheckpointEvery, cfg.WatchdogGrace = *stateDir, *checkpointEvery, *watchdogGrace
 	cfg.SyncEvery, cfg.Stream, cfg.MetricsFile = *syncEvery, *streamMode, *metricsFile

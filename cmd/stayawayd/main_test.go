@@ -55,8 +55,6 @@ func TestOptionsValidate(t *testing.T) {
 		{"qos count mismatch", func() options { o := multiOpts(); o.qosFiles = o.qosFiles[:1]; return o }(), false, "-qos-file"},
 		{"app count mismatch", func() options { o := multiOpts(); o.apps = o.apps[:1]; return o }(), false, "one -app per sensitive cgroup"},
 		{"duplicate app", func() options { o := multiOpts(); o.apps = []string{"kv", "kv"}; return o }(), false, "distinct -app names"},
-		{"event window unbounded ok", func() options { o := cgOpts(); o.eventWindow = -1; return o }(), true, ""},
-		{"event window bad", func() options { o := cgOpts(); o.eventWindow = -5; return o }(), false, "-event-window"},
 		{"lanes file in pid mode", func() options { o := pidOpts(); o.lanesFile = "lanes.json"; return o }(), false, "-lanes-file requires cgroup mode"},
 		{"reload watch without lanes file", func() options { o := cgOpts(); o.reloadWatch = true; return o }(), false, "-reload-watch requires -lanes-file"},
 	}

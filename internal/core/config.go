@@ -82,13 +82,6 @@ type Config struct {
 	// 0 defaults to 5; negative disables staleness tracking.
 	QoSStaleAfter int
 
-	// EventWindow bounds how many per-period events the runtime retains
-	// (Events/EventsSince). Long daemon runs previously grew the event
-	// slice forever; the ring buffer caps it. 0 defaults to 4096; negative
-	// keeps everything (short experiment runs that render figures from the
-	// full history).
-	EventWindow int
-
 	// SingleModel collapses the per-mode trajectory models into one — the
 	// configuration the paper shows is inaccurate; exposed for the
 	// ablation experiments.
@@ -145,9 +138,6 @@ func (c *Config) applyDefaults() {
 	}
 	if c.QoSStaleAfter == 0 {
 		c.QoSStaleAfter = 5
-	}
-	if c.EventWindow == 0 {
-		c.EventWindow = 4096
 	}
 }
 

@@ -117,3 +117,13 @@ func TestDisableBatchAggregationSchema(t *testing.T) {
 		t.Errorf("vector dim = %d, want 8", len(st.Vector))
 	}
 }
+
+func TestConfigRejectsDuplicateBatchIDs(t *testing.T) {
+	env := &fakeEnv{}
+	act := throttle.NewRecordingActuator()
+	cfg := baseConfig()
+	cfg.BatchIDs = []string{"b1", "b2", "b1"}
+	if _, err := New(cfg, env, act); err == nil {
+		t.Fatal("duplicate BatchIDs should be rejected")
+	}
+}

@@ -282,9 +282,7 @@ func (h *HostRuntime) Health() []LaneHealth {
 			States:          rep.States,
 			ViolationStates: rep.ViolationStates,
 		}
-		if evs := hl.lane.Events(); len(evs) > 0 {
-			lh.QoSStale = evs[len(evs)-1].QoSStale
-		}
+		lh.QoSStale = hl.lane.last.QoSStale
 		out = append(out, lh)
 	}
 	return out

@@ -38,7 +38,10 @@ type Lane struct {
 
 	period int
 	report Report
-	events *eventLog
+	// last is the latest period's event, for health reporting: the lane
+	// keeps what it learned, not a history of what it did — callers take
+	// each period's event from Period's return.
+	last Event
 	// pendingPrediction holds last period's verdict so accuracy is scored
 	// against this period's actual outcome.
 	pendingPrediction bool
@@ -83,36 +86,19 @@ func NewLane(cfg Config, act throttle.Actuator) (*Lane, error) {
 		ts:         ts,
 		fs:         fs,
 		as:         as,
-		events:     newEventLog(cfg.EventWindow),
 	}, nil
 }
-
-// SetMapper swaps the mapping stage; must be called before the first
-// period.
-func (l *Lane) SetMapper(m Mapper) error { return l.setStage(func() { l.mapper = m }, m == nil) }
-
-// SetModeler swaps the mode/trajectory stage; must be called before the
-// first period.
-func (l *Lane) SetModeler(m Modeler) error { return l.setStage(func() { l.modeler = m }, m == nil) }
 
 // SetForecaster swaps the prediction stage; must be called before the
 // first period.
 func (l *Lane) SetForecaster(f Forecaster) error {
-	return l.setStage(func() { l.forecaster = f }, f == nil)
-}
-
-// SetActor swaps the throttle-decision stage; must be called before the
-// first period.
-func (l *Lane) SetActor(a Actor) error { return l.setStage(func() { l.actor = a }, a == nil) }
-
-func (l *Lane) setStage(assign func(), isNil bool) error {
-	if isNil {
+	if f == nil {
 		return fmt.Errorf("core: nil stage")
 	}
 	if l.period != 0 {
 		return fmt.Errorf("core: stage swap after %d periods", l.period)
 	}
-	assign()
+	l.forecaster = f
 	return nil
 }
 
@@ -202,7 +188,7 @@ func (l *Lane) Period(in PeriodInput) (Event, error) {
 
 	l.period++
 	l.report.Periods++
-	l.events.append(ev)
+	l.last = ev
 	return ev, nil
 }
 
@@ -226,15 +212,6 @@ func (l *Lane) Level() float64 { return l.as.Controller().Level() }
 
 // Periods returns how many periods this lane has run.
 func (l *Lane) Periods() int { return l.period }
-
-// Events returns the retained per-period events (bounded by
-// Config.EventWindow).
-func (l *Lane) Events() []Event { return l.events.all() }
-
-// EventsSince returns retained events with sequence >= seq and the
-// sequence to pass on the next call — the daemon's incremental report
-// drain. Events evicted from the window are skipped silently.
-func (l *Lane) EventsSince(seq uint64) ([]Event, uint64) { return l.events.since(seq) }
 
 // Report returns aggregate counters.
 func (l *Lane) Report() Report {

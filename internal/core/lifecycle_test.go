@@ -1,7 +1,6 @@
 package core
 
 import (
-	"sync"
 	"testing"
 
 	"repro/internal/throttle"
@@ -273,64 +272,4 @@ func TestHostHealth(t *testing.T) {
 	if health[1].Level != 0 {
 		t.Errorf("kv Level = %v, want 0 (frozen)", health[1].Level)
 	}
-}
-
-// TestLaneConcurrentEventDrains runs two consumers with independent
-// cursors (the daemon's report drain and the admin SSE publisher) over
-// one lane's event ring while the control loop keeps appending. Run
-// under -race this is the regression test for the eventLog locking; it
-// also asserts both consumers see every period exactly once.
-func TestLaneConcurrentEventDrains(t *testing.T) {
-	const periods = 200
-	env := &fakeHostEnv{script: []hostStep{colocated(100, 300, 50, false, false)}}
-	act := throttle.NewRecordingActuator()
-	h, err := NewHost(env, act)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lane, err := h.AddLane(laneConfig("web", "web-app"), laneSig{env, "web-app"})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	done := make(chan struct{})
-	var wg sync.WaitGroup
-	drain := func(name string) {
-		defer wg.Done()
-		var seq uint64
-		var got []Event
-		for {
-			evs, next := lane.EventsSince(seq)
-			got = append(got, evs...)
-			seq = next
-			select {
-			case <-done:
-				evs, _ = lane.EventsSince(seq)
-				got = append(got, evs...)
-				if len(got) != periods {
-					t.Errorf("%s drained %d events, want %d", name, len(got), periods)
-					return
-				}
-				for i, ev := range got {
-					if ev.Period != i {
-						t.Errorf("%s event %d has Period %d — gap or duplicate", name, i, ev.Period)
-						return
-					}
-				}
-				return
-			default:
-			}
-		}
-	}
-	wg.Add(2)
-	go drain("report")
-	go drain("sse")
-
-	for i := 0; i < periods; i++ {
-		if _, err := h.Period(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	close(done)
-	wg.Wait()
 }

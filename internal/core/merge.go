@@ -11,8 +11,7 @@ import (
 // violation learned on another host arrives as a template patch (the
 // changed states of the consensus map); the lane folds it into its live
 // state space between periods — without restarting, without rescaling the
-// map it is actively controlling from, and without ever touching the
-// reducer and the space out of lockstep.
+// map it is actively controlling from.
 
 // MergeStats describes what one template merge did to the live map.
 type MergeStats struct {
@@ -39,8 +38,7 @@ var _ TemplateMerger = (*mapStage)(nil)
 // seen, and still compare correctly), its coordinates Procrustes-aligned
 // onto the live layout, and each state either folds into an ε-matching
 // local state (upgrading its label when the fleet saw a violation there)
-// or joins as a new state — registered with the reducer and the space in
-// lockstep, preserving the state/representative index invariant.
+// or joins as a new state.
 func (m *mapStage) MergeTemplate(t *statespace.Template, period int) (MergeStats, error) {
 	var out MergeStats
 	if err := t.Validate(); err != nil {
@@ -62,18 +60,17 @@ func (m *mapStage) MergeTemplate(t *statespace.Template, period int) (MergeStats
 	}
 
 	for _, in := range aligned {
-		rep, isNew := m.reducer.Observe(in.Vector)
-		if !isNew {
+		if id, ok := m.space.FirstWithin(in.Vector, m.cfg.DedupEpsilon); ok {
 			out.Matched++
 			if in.Label == statespace.Violation.String() {
-				st, err := m.space.State(rep)
+				st, err := m.space.State(id)
 				if err != nil {
 					return out, err
 				}
 				if st.Label != statespace.Violation {
 					out.Upgraded++
 				}
-				if err := m.space.MarkViolation(rep); err != nil {
+				if err := m.space.MarkViolation(id); err != nil {
 					return out, err
 				}
 			}
@@ -83,24 +80,24 @@ func (m *mapStage) MergeTemplate(t *statespace.Template, period int) (MergeStats
 		// organic one — placed against the basis, promoted if uncovered —
 		// so the basis survives the merge. Without one it arrives at the
 		// fleet's aligned coordinates.
+		var id int
 		if m.landmarks != nil {
-			if err := m.createState(rep, in.Vector, period); err != nil {
+			var err error
+			if id, err = m.createState(in.Vector, period); err != nil {
 				return out, err
 			}
 		} else {
-			if id := m.space.Add(mds.Coord{X: in.X, Y: in.Y}, in.Vector, period); id != rep {
-				return out, fmt.Errorf("core: state/representative index skew during merge: %d vs %d", id, rep)
-			}
+			id = m.space.Add(mds.Coord{X: in.X, Y: in.Y}, in.Vector, period)
 			m.createdSinceSMAC++
 		}
 		out.Added++
 		switch {
 		case in.Label == statespace.Violation.String():
-			if err := m.space.MarkViolation(rep); err != nil {
+			if err := m.space.MarkViolation(id); err != nil {
 				return out, err
 			}
 		case in.Unverified:
-			if err := m.space.MarkUnverified(rep); err != nil {
+			if err := m.space.MarkUnverified(id); err != nil {
 				return out, err
 			}
 		}

@@ -71,14 +71,15 @@ func (r *Runtime) Throttled() bool { return r.lane.Throttled() }
 // Beta returns the controller's learned resume threshold.
 func (r *Runtime) Beta() float64 { return r.lane.Beta() }
 
-// Events returns the retained per-period events. Long runs are bounded by
-// Config.EventWindow; use EventsSince to drain incrementally without
-// missing retained events.
-func (r *Runtime) Events() []Event { return r.lane.Events() }
-
-// EventsSince returns retained events with sequence >= seq and the
-// sequence to pass on the next call.
-func (r *Runtime) EventsSince(seq uint64) ([]Event, uint64) { return r.lane.EventsSince(seq) }
+// Events returns the latest period's event, or nil before the first
+// period. The runtime keeps no history: a caller that wants every
+// period's event collects it from Period's return.
+func (r *Runtime) Events() []Event {
+	if r.lane.period == 0 {
+		return nil
+	}
+	return []Event{r.lane.last}
+}
 
 // Report returns aggregate counters.
 func (r *Runtime) Report() Report { return r.lane.Report() }

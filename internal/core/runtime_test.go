@@ -310,6 +310,13 @@ func TestEventsRecorded(t *testing.T) {
 	if evs[0].String() == "" {
 		t.Error("event string empty")
 	}
+	// The runtime keeps the latest event, not a history.
+	if _, err := r.Period(); err != nil {
+		t.Fatal(err)
+	}
+	if evs := r.Events(); len(evs) != 1 || evs[0].Period != 1 {
+		t.Errorf("events after two periods = %v, want the latest alone", evs)
+	}
 }
 
 func TestTemplateRoundTripThroughRuntime(t *testing.T) {

@@ -12,8 +12,9 @@ import (
 
 // mapStage is the default Mapper: the §3.1 measurement pipeline plus the
 // §4 embedding. It owns the normalizer, the vectorizer (whose vector is
-// this lane's, reused every period), the online reducer and the state
-// space, and is the single writer of violation/unverified labels.
+// this lane's, reused every period) and the state space — the one store
+// of representative vectors, which §4's dedup scans — and is the single
+// writer of violation/unverified labels.
 type mapStage struct {
 	cfg Config
 	rng *rand.Rand
@@ -21,7 +22,6 @@ type mapStage struct {
 	schema     *metrics.Schema
 	normalizer *metrics.Normalizer
 	vectorizer *metrics.Vectorizer
-	reducer    *mds.OnlineReducer
 	space      *statespace.Space
 
 	createdSinceSMAC int
@@ -69,10 +69,6 @@ func newMapStage(cfg Config, rng *rand.Rand) (*mapStage, error) {
 	if err != nil {
 		return nil, err
 	}
-	eps := cfg.DedupEpsilon
-	if eps < 0 {
-		eps = 0
-	}
 	space := statespace.NewSpace()
 	space.SetRangePolicy(cfg.RangePolicy)
 	return &mapStage{
@@ -81,7 +77,6 @@ func newMapStage(cfg Config, rng *rand.Rand) (*mapStage, error) {
 		schema:     schema,
 		normalizer: normalizer,
 		vectorizer: vectorizer,
-		reducer:    mds.NewOnlineReducer(eps),
 		space:      space,
 	}, nil
 }
@@ -91,7 +86,7 @@ func (m *mapStage) Space() *statespace.Space { return m.space }
 
 // Map implements Mapper: aggregate → normalize → flatten (one pass, into
 // the vectorizer's vector) → embed → label. The vector is read, never
-// kept: the reducer and the space copy a new state's.
+// kept: the space copies a new state's.
 func (m *mapStage) Map(in PeriodInput) (MapOutcome, error) {
 	var out MapOutcome
 	vec, err := m.vectorizer.Vector(in.Samples)
@@ -144,37 +139,35 @@ func (m *mapStage) Map(in PeriodInput) (MapOutcome, error) {
 	return out, nil
 }
 
-// mapVector maps a normalized measurement vector to a state, creating and
-// placing a new representative when needed, and refreshing the whole
-// embedding periodically.
+// mapVector maps a normalized measurement vector to a state — the first
+// within DedupEpsilon (§4's representative-sample reduction) or a new
+// representative, placed — and refreshes the whole embedding
+// periodically.
 func (m *mapStage) mapVector(period int, vec []float64) (stateID int, created bool, err error) {
-	rep, isNew := m.reducer.Observe(vec)
-	if !isNew {
-		if err := m.space.Observe(rep, period); err != nil {
+	if id, ok := m.space.FirstWithin(vec, m.cfg.DedupEpsilon); ok {
+		if err := m.space.Observe(id, period); err != nil {
 			return 0, false, err
 		}
-		return rep, false, nil
+		return id, false, nil
 	}
-
-	if err := m.createState(rep, vec, period); err != nil {
+	id, err := m.createState(vec, period)
+	if err != nil {
 		return 0, false, err
 	}
-	return rep, true, nil
+	return id, true, nil
 }
 
-// createState gives the reducer's newest representative its state: placed
-// in the current layout, promoted to landmark when the basis does not
-// cover it, and counted toward the scheduled refresh.
-func (m *mapStage) createState(rep int, vec []float64, period int) error {
+// createState makes vec a new state: placed in the current layout,
+// promoted to landmark when the basis does not cover it, and counted
+// toward the scheduled refresh.
+func (m *mapStage) createState(vec []float64, period int) (int, error) {
 	pos, uncovered, err := m.place(vec)
 	if err != nil {
-		return fmt.Errorf("core: incremental placement: %w", err)
+		return 0, fmt.Errorf("core: incremental placement: %w", err)
 	}
-	if id := m.space.Add(pos, vec, period); id != rep {
-		return fmt.Errorf("core: state/representative index skew: %d vs %d", id, rep)
-	}
+	id := m.space.Add(pos, vec, period)
 	if uncovered {
-		m.landmarks = append(m.landmarks, rep)
+		m.landmarks = append(m.landmarks, id)
 	}
 	m.createdSinceSMAC++
 
@@ -187,11 +180,11 @@ func (m *mapStage) createState(rep int, vec []float64, period int) error {
 		(m.refreshes == 0 && m.space.Len() >= 4)
 	if m.cfg.RefreshEvery > 0 && needRefresh && m.space.Len() >= 3 {
 		if err := m.refreshEmbedding(); err != nil {
-			return err
+			return 0, err
 		}
 		m.createdSinceSMAC = 0
 	}
-	return nil
+	return id, nil
 }
 
 // place positions a new state's vector in the current layout by
@@ -282,29 +275,24 @@ func (m *mapStage) refreshEmbedding() error {
 }
 
 // importSpace adopts an externally built space (template import /
-// checkpoint restore), rebuilding the reducer so new observations dedup
-// against the imported states.
+// checkpoint restore); new observations dedup against its states.
 func (m *mapStage) importSpace(space *statespace.Space, ranges map[metrics.Metric]metrics.Range) error {
 	if err := m.normalizer.Restore(ranges); err != nil {
 		return err
 	}
-	eps := m.cfg.DedupEpsilon
-	if eps < 0 {
-		eps = 0
-	}
-	reducer := mds.NewOnlineReducer(eps)
-	for _, st := range space.States() {
-		reducer.Observe(st.Vector)
+	// Template states within our DedupEpsilon of each other would have
+	// merged had this lane observed them; reject the template rather than
+	// adopt states no observation can tell apart.
+	reducer := mds.NewOnlineReducer(m.cfg.DedupEpsilon)
+	for _, v := range space.Vectors() {
+		reducer.Observe(v)
 	}
 	if reducer.Len() != space.Len() {
-		// Template states closer than our DedupEpsilon would merge and
-		// skew state/representative indices; reject rather than corrupt.
 		return fmt.Errorf("core: template states collapse under DedupEpsilon %v (%d -> %d)",
-			eps, space.Len(), reducer.Len())
+			m.cfg.DedupEpsilon, space.Len(), reducer.Len())
 	}
 	space.SetRangePolicy(m.cfg.RangePolicy)
 	m.space = space
-	m.reducer = reducer
 	// The basis belonged to the map this one replaces; the next scheduled
 	// refresh solves afresh.
 	m.landmarks, m.coverRadius = nil, 0

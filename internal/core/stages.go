@@ -9,9 +9,10 @@ import (
 )
 
 // The lane pipeline splits the monolithic Mapping → Prediction → Action
-// period into four typed stages. Each stage is independently testable and
-// swappable (Lane.SetMapper &c. before the first period); the default
-// implementations reproduce the paper's §3 loop exactly.
+// period into four typed stages. Each stage is independently testable,
+// and the forecaster is swappable (Lane.SetForecaster before the first
+// period); the default implementations reproduce the paper's §3 loop
+// exactly.
 
 // PeriodInput is everything one lane needs to observe for one monitoring
 // period. The host runtime collects samples once per period and fans the
@@ -50,9 +51,9 @@ type MapOutcome struct {
 	Stale bool
 }
 
-// Mapper is the §3.1/§4 stage: sample → normalize → embed → label. It owns
-// the state space, the online reducer and the normalizer, and is the
-// single writer of violation/unverified labels.
+// Mapper is the §3.1/§4 stage: sample → normalize → dedup → embed → label.
+// It owns the state space and the normalizer, and is the single writer of
+// violation/unverified labels.
 type Mapper interface {
 	// Map places the period's samples into the state space.
 	Map(in PeriodInput) (MapOutcome, error)

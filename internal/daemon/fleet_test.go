@@ -32,16 +32,19 @@ func (r *running) reload(t *testing.T, path string, lanes ...LaneDef) {
 // captureStderr sends os.Stderr to a file until the test ends and returns
 // a reader of what was written. Call it before start: the loop goroutine
 // must not exist while the variable is swapped.
-func captureStderr(t *testing.T) func() string {
+func captureStderr(t *testing.T) func() string { return capture(t, &os.Stderr) }
+
+// capture is captureStderr for any of the standard streams.
+func capture(t *testing.T, stream **os.File) func() string {
 	t.Helper()
-	f, err := os.CreateTemp(t.TempDir(), "stderr")
+	f, err := os.CreateTemp(t.TempDir(), "capture")
 	if err != nil {
 		t.Fatal(err)
 	}
-	saved := os.Stderr
-	os.Stderr = f
+	saved := *stream
+	*stream = f
 	t.Cleanup(func() {
-		os.Stderr = saved
+		*stream = saved
 		f.Close()
 	})
 	return func() string {

@@ -290,8 +290,6 @@ func (l *loop) changeLane(ln *lane, d LaneDef) (bool, error) {
 				l.cfg.Groups.RemoveGroup(old)
 			}
 			ln.sig, ln.rt, ln.def = sig, rt, d
-			// The replacement lane's event ring restarts at sequence 0.
-			ln.seq, ln.hubSeq = 0, 0
 			if !carried && ln.syncer != nil {
 				ln.stopFollowing()
 				ln.syncer = l.newSyncer(ln.app)

@@ -106,13 +106,11 @@ type Config struct {
 	LanesFile   string
 	ReloadWatch bool
 
-	// Pipeline: normalisation ranges, graded throttling, per-lane event
-	// window, and the seed — lane i, counted in the order lanes are
-	// added, gets Seed+i.
-	Ranges      map[metrics.Metric]metrics.Range
-	Graded      bool
-	EventWindow int
-	Seed        int64
+	// Pipeline: normalisation ranges, graded throttling, and the seed —
+	// lane i, counted in the order lanes are added, gets Seed+i.
+	Ranges map[metrics.Metric]metrics.Range
+	Graded bool
+	Seed   int64
 
 	// Ticks paces the periods, one host period per tick; Period is the
 	// interval, for the watchdog. Closing Ticks, like cancelling Run's
@@ -160,8 +158,6 @@ type lane struct {
 	// unfollow cancels the syncer's Follow goroutine and waits for it to
 	// return; nil unless the lane follows the stream.
 	unfollow func()
-	seq      uint64 // EventsSince cursor for the report drain
-	hubSeq   uint64 // independent cursor for the admin event hub
 	periods  int
 	viols    int
 	merges   int // fleet deltas folded into the live map
@@ -285,9 +281,6 @@ func newLoop(cfg Config) (*loop, error) {
 		return nil, err
 	}
 	l.host = host
-	if cfg.EventWindow == -1 {
-		fmt.Fprintln(os.Stderr, "stayawayd: warning: -event-window -1 retains every period event; memory grows unboundedly with uptime")
-	}
 	for _, d := range cfg.Lanes.Lanes {
 		if _, err := l.addLane(d); err != nil {
 			return nil, err
@@ -443,6 +436,8 @@ func (l *loop) period() (exited bool) {
 	l.applyReload()
 	l.adopt()
 	evs, err := l.host.Period()
+	// The lanes that ran before a failing one still report their period.
+	l.drain(evs)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "stayawayd: period:", err)
 		return false
@@ -451,7 +446,6 @@ func (l *loop) period() (exited bool) {
 		l.wd.Beat()
 	}
 	l.periods++
-	l.drain()
 	l.publish()
 	if l.periods%l.cfg.SyncEvery == 0 {
 		for i, ln := range l.lanes {
@@ -477,7 +471,6 @@ func (l *loop) period() (exited bool) {
 // events, a final fleet push, the per-lane reports and the templates.
 func (l *loop) finish() error {
 	l.checkpoint()
-	l.drain()
 	for _, ln := range l.lanes {
 		// Share the freshest map with the fleet before exiting.
 		l.sync(ln, false)
@@ -532,7 +525,6 @@ func (l *loop) laneConfig(group, app string) core.Config {
 	cfg.Seed = l.cfg.Seed + l.added
 	l.added++
 	cfg.SensitiveApp = app
-	cfg.EventWindow = l.cfg.EventWindow
 	if l.cfg.Graded {
 		cfg.Throttle.Policy = throttle.PolicyGraded
 	}
@@ -794,43 +786,35 @@ func (l *loop) checkpoint() {
 	}
 }
 
-// drain is the report drain: each lane's events come out of its bounded
-// ring buffer via the since-sequence cursor, so a slow or bursty
-// reporting path can never make the daemon's memory grow with uptime.
-func (l *loop) drain() {
-	for _, ln := range l.lanes {
-		var evs []core.Event
-		evs, ln.seq = ln.rt.EventsSince(ln.seq)
-		for _, ev := range evs {
-			ln.periods++
-			if ev.Violation {
-				ln.viols++
+// drain consumes one host period's events, evs[i] being lane i's: it
+// counts and prints them (the report) and feeds them to /v1/events
+// subscribers. Nothing keeps them afterwards.
+func (l *loop) drain(evs []core.Event) {
+	for i, ev := range evs {
+		ln := l.lanes[i]
+		if ev.App != ln.app {
+			panic(fmt.Sprintf("stayawayd: host lane %d ran %q, loop lane is %q", i, ev.App, ln.app))
+		}
+		ln.periods++
+		if ev.Violation {
+			ln.viols++
+		}
+		if l.cfg.Verbose || ev.Violation || ev.Action != throttle.ActionNone {
+			if l.cfg.Lanes.Legacy {
+				fmt.Println(ev)
+			} else {
+				fmt.Printf("[%s] %s\n", ln.app, ev)
 			}
-			if l.cfg.Verbose || ev.Violation || ev.Action != throttle.ActionNone {
-				if l.cfg.Lanes.Legacy {
-					fmt.Println(ev)
-				} else {
-					fmt.Printf("[%s] %s\n", ln.app, ev)
-				}
-			}
+		}
+		if l.hub != nil {
+			l.hub.Publish(PeriodEvent(ev))
 		}
 	}
 }
 
 // publish pushes the period's outcome to the admin surface: the status
-// board for /readyz, the hub for /v1/events subscribers (via each lane's
-// own hubSeq cursor, so the report drain and the SSE feed never fight
-// over one cursor), and the admin metric set.
+// board for /readyz and the admin metric set.
 func (l *loop) publish() {
-	if l.hub != nil {
-		for _, ln := range l.lanes {
-			var evs []core.Event
-			evs, ln.hubSeq = ln.rt.EventsSince(ln.hubSeq)
-			for _, ev := range evs {
-				l.hub.Publish(PeriodEvent(ev))
-			}
-		}
-	}
 	health := l.host.Health()
 	var wdStalled bool
 	var wdStalls int

@@ -17,6 +17,7 @@ import (
 
 	"repro/internal/cgroup"
 	"repro/internal/chaos"
+	"repro/internal/core"
 	"repro/internal/fleet"
 	"repro/internal/metrics"
 	"repro/internal/procenv"
@@ -68,14 +69,13 @@ func newFixture(t *testing.T, legacy bool, qos string, apps ...string) *fixture 
 		f.tree.AddCgroup(cg, memberPID)
 	}
 	f.cfg = Config{
-		BatchIDs:    fixtureBatch,
-		Watching:    "fixture",
-		Lanes:       set,
-		Ranges:      metrics.DefaultRanges(4, 4096, 200, 1000),
-		Seed:        42,
-		Ticks:       f.ticks,
-		Period:      time.Millisecond,
-		EventWindow: 64,
+		BatchIDs: fixtureBatch,
+		Watching: "fixture",
+		Lanes:    set,
+		Ranges:   metrics.DefaultRanges(4, 4096, 200, 1000),
+		Seed:     42,
+		Ticks:    f.ticks,
+		Period:   time.Millisecond,
 	}
 	return f
 }
@@ -285,8 +285,72 @@ func TestRunOnePeriodPerTick(t *testing.T) {
 	if got := ln.rt.Report().Periods; got != 10 {
 		t.Errorf("report periods = %d, want 10", got)
 	}
-	if evs, _ := ln.rt.EventsSince(0); len(evs) != 10 || evs[9].Period != 9 {
-		t.Errorf("events = %d, want 10 ending at period 9", len(evs))
+}
+
+// Each lane's report drain and /v1/events feed see each of the lane's own
+// periods exactly once, in order — also when a reload removes the first
+// lane mid-run and the second takes its place in the host's lane order.
+func TestReloadRemovingFirstLaneDrainsEachPeriodOnce(t *testing.T) {
+	f := newFixture(t, false, violating, "vlc", "kv")
+	f.cfg.LanesFile = filepath.Join(f.dir, "lanes.json")
+	f.cfg.AdminAddr = "127.0.0.1:0"
+	f.cfg.Verbose = true
+	stdout := capture(t, &os.Stdout)
+	captureStderr(t)
+	r := f.start(t, context.Background())
+	vlc := r.l.lanes[0].rt
+	sub, _ := r.l.hub.Subscribe("")
+	fed := make(chan map[string][]int)
+	go func() {
+		got := map[string][]int{}
+		for sev := range sub.C {
+			if sev.Type != TypePeriod {
+				continue
+			}
+			var ev core.Event
+			if err := json.Unmarshal(sev.Data, &ev); err != nil {
+				t.Error(err)
+			}
+			got[ev.App] = append(got[ev.App], ev.Period)
+		}
+		fed <- got
+	}()
+	r.tick(5)
+	r.reload(t, f.cfg.LanesFile, f.cfg.Lanes.Lanes[1])
+	r.tick(7)
+	if err := r.stop(); err != nil {
+		t.Fatal(err)
+	}
+	drained := map[string][]int{}
+	for _, line := range strings.Split(stdout(), "\n") {
+		app, ev, ok := strings.Cut(strings.TrimPrefix(line, "["), "] ")
+		var p int
+		if n, _ := fmt.Sscanf(ev, "p=%d ", &p); ok && n == 1 {
+			drained[app] = append(drained[app], p)
+		}
+	}
+	// kv ran every period; vlc those before the reload, which the loop
+	// applies at the start of the fifth or the sixth.
+	want := map[string]int{"vlc": vlc.Periods(), "kv": 12}
+	if want["vlc"] < 4 {
+		t.Fatalf("vlc ran %d periods before its removal, want at least 4", want["vlc"])
+	}
+	for name, got := range map[string]map[string][]int{"drain": drained, "feed": <-fed} {
+		for app, n := range want {
+			if len(got[app]) != n {
+				t.Errorf("%s saw %d %s periods, want %d: %v", name, len(got[app]), app, n, got[app])
+				continue
+			}
+			for i, p := range got[app] {
+				if p != i {
+					t.Errorf("%s saw %s periods %v, want 0..%d once each", name, app, got[app], n-1)
+					break
+				}
+			}
+		}
+	}
+	if ln := r.l.lanes[0]; len(r.l.lanes) != 1 || ln.app != "kv" || ln.periods != 12 {
+		t.Errorf("lanes after the reload: %d, first %s with %d periods; want kv alone with 12", len(r.l.lanes), ln.app, ln.periods)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"repro/internal/core"
 	"repro/internal/mds"
 	"repro/internal/statespace"
 	"repro/internal/trajectory"
@@ -239,8 +240,8 @@ func Fig09(seed int64) (*Figure, error) {
 
 // gainFigure runs a co-location unprotected (upper band: maximal gain,
 // QoS sacrificed) and with Stay-Away (lower band), rendering gained
-// utilization (Figs 10, 11).
-func gainFigure(id, title, batchID string, app Placement, seed int64, ticks int) (*Figure, error) {
+// utilization (Figs 10, 11). tune, when non-nil, adjusts the runtime.
+func gainFigure(id, title, batchID string, app Placement, seed int64, ticks int, tune func(*core.Config)) (*Figure, error) {
 	app.ID = batchID
 	noPrev, err := Run(Scenario{
 		Name:        id + "-upperband",
@@ -261,6 +262,7 @@ func gainFigure(id, title, batchID string, app Placement, seed int64, ticks int)
 		Ticks:       ticks,
 		Seed:        seed,
 		StayAway:    true,
+		Tune:        tune,
 	})
 	if err != nil {
 		return nil, err
@@ -291,16 +293,20 @@ func gainFigure(id, title, batchID string, app Placement, seed int64, ticks int)
 
 // Fig10 regenerates Figure 10: gained utilization with CPUBomb — the worst
 // case, spiky and small (paper: ≈5%).
-func Fig10(seed int64) (*Figure, error) {
+func Fig10(seed int64) (*Figure, error) { return fig10(seed, nil) }
+
+func fig10(seed int64, tune func(*core.Config)) (*Figure, error) {
 	return gainFigure("fig10", "Fig 10 — gained utilization, VLC + CPUBomb",
-		"cpubomb", Placement{StartTick: 20, App: cpuBombApp}, seed, 300)
+		"cpubomb", Placement{StartTick: 20, App: cpuBombApp}, seed, 300, tune)
 }
 
 // Fig11 regenerates Figure 11: gained utilization with Twitter-Analysis
 // (paper: ≈50% average).
-func Fig11(seed int64) (*Figure, error) {
+func Fig11(seed int64) (*Figure, error) { return fig11(seed, nil) }
+
+func fig11(seed int64, tune func(*core.Config)) (*Figure, error) {
 	return gainFigure("fig11", "Fig 11 — gained utilization, VLC + Twitter-Analysis",
-		"twitter", Placement{StartTick: 20, App: twitterApp}, seed, 300)
+		"twitter", Placement{StartTick: 20, App: twitterApp}, seed, 300, tune)
 }
 
 // Fig17 regenerates Figure 17: the template captured while VLC streams

@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"repro/internal/apps"
+	"repro/internal/core"
 	"repro/internal/trace"
 )
 
@@ -57,7 +58,9 @@ func DiurnalIntensity(seed int64, ticks int) (apps.Intensity, error) {
 // the diurnal trace, matching the paper's naturally varying workload —
 // the low-intensity valleys are where Stay-Away lets the batch
 // applications through.
-func Fig12(seed int64) (*Figure, error) {
+func Fig12(seed int64) (*Figure, error) { return fig12(seed, nil) }
+
+func fig12(seed int64, tune func(*core.Config)) (*Figure, error) {
 	const ticks = 300
 	intensity, err := DiurnalIntensity(seed, ticks)
 	if err != nil {
@@ -83,6 +86,7 @@ func Fig12(seed int64) (*Figure, error) {
 				Ticks:       ticks,
 				Seed:        seed,
 				StayAway:    true,
+				Tune:        tune,
 			})
 			if err != nil {
 				return nil, err

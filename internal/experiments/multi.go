@@ -227,6 +227,9 @@ func RunMulti(sc MultiScenario) (*MultiRunResult, error) {
 	}
 
 	res := &MultiRunResult{Scenario: sc, Host: hostRT}
+	if hostRT != nil {
+		res.Events = make(map[string][]core.Event, len(specs))
+	}
 	for tick := 0; tick < sc.Ticks; tick++ {
 		for i, sp := range specs {
 			if tick == sp.Start {
@@ -285,6 +288,7 @@ func RunMulti(sc MultiScenario) (*MultiRunResult, error) {
 				return nil, fmt.Errorf("experiments: period %d: %w", tick, err)
 			}
 			for _, ev := range evs {
+				res.Events[ev.App] = append(res.Events[ev.App], ev)
 				lt := rec.Lanes[ev.App]
 				lt.Mode = ev.Mode
 				lt.Coord = ev.Coord
@@ -305,10 +309,8 @@ func RunMulti(sc MultiScenario) (*MultiRunResult, error) {
 	res.AvgUtilization = simulator.Utilization()
 	if hostRT != nil {
 		res.Reports = make(map[string]core.Report, len(specs))
-		res.Events = make(map[string][]core.Event, len(specs))
 		for _, lane := range hostRT.Lanes() {
 			res.Reports[lane.App()] = lane.Report()
-			res.Events[lane.App()] = lane.Events()
 		}
 	}
 	return res, nil

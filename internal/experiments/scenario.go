@@ -241,6 +241,7 @@ func Run(sc Scenario) (*RunResult, error) {
 			if err != nil {
 				return nil, fmt.Errorf("experiments: period %d: %w", tick, err)
 			}
+			res.Events = append(res.Events, ev)
 			rec.Throttled = ev.Throttled
 			rec.Mode = ev.Mode
 			rec.Coord = ev.Coord
@@ -258,7 +259,6 @@ func Run(sc Scenario) (*RunResult, error) {
 	res.AvgUtilization = simulator.Utilization()
 	if rt != nil {
 		res.Report = rt.Report()
-		res.Events = rt.Events()
 	}
 	return res, nil
 }

@@ -127,6 +127,32 @@ func TestRunDeterministic(t *testing.T) {
 	}
 }
 
+// A run longer than any retention window still reports every period:
+// Result.Events is collected from each period's return, not read back
+// from the runtime.
+func TestRunKeepsEveryEvent(t *testing.T) {
+	const ticks = 5000
+	res, err := Run(Scenario{
+		SensitiveID: "vlc",
+		Sensitive:   vlcFactory,
+		Batch:       []Placement{{ID: "bomb", StartTick: 5, App: bombFactory}},
+		Ticks:       ticks,
+		Seed:        9,
+		StayAway:    true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Events) != ticks {
+		t.Fatalf("%d events for %d periods", len(res.Events), ticks)
+	}
+	for i, ev := range res.Events {
+		if ev.Period != i {
+			t.Fatalf("event %d is period %d", i, ev.Period)
+		}
+	}
+}
+
 func TestRunDelayedStarts(t *testing.T) {
 	res, err := Run(Scenario{
 		SensitiveID:    "vlc",

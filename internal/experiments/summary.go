@@ -3,7 +3,46 @@ package experiments
 import (
 	"fmt"
 	"strings"
+
+	"repro/internal/core"
 )
+
+// summaryCell is one headline co-location's outcome under Stay-Away.
+type summaryCell struct {
+	name       string
+	gain, viol float64
+}
+
+// summaryCells runs the headline summary's co-locations — the VLC runs of
+// Figs 10–11 and the Webservice sweep of Fig 12 — with tune, when
+// non-nil, adjusting every Stay-Away runtime.
+func summaryCells(seed int64, tune func(*core.Config)) ([]summaryCell, error) {
+	var cells []summaryCell
+	for _, r := range []struct {
+		name string
+		fig  func(int64, func(*core.Config)) (*Figure, error)
+	}{{"VLC + CPUBomb", fig10}, {"VLC + Twitter-Analysis", fig11}} {
+		f, err := r.fig(seed, tune)
+		if err != nil {
+			return nil, err
+		}
+		cells = append(cells, summaryCell{r.name, f.Summary["gain_stayaway"], f.Summary["violation_rate_stayaway"]})
+	}
+	f12, err := fig12(seed, tune)
+	if err != nil {
+		return nil, err
+	}
+	for _, combo := range batchCombos() {
+		for _, kind := range webKinds {
+			cells = append(cells, summaryCell{
+				fmt.Sprintf("Webservice(%s) + %s", kind, combo.name),
+				f12.Summary[fmt.Sprintf("gain_%s_%s", combo.name, kind)],
+				f12.Summary[fmt.Sprintf("viol_%s_%s", combo.name, kind)],
+			})
+		}
+	}
+	return cells, nil
+}
 
 // Summary reproduces the paper's headline claim: "we are able to guarantee
 // a high level of QoS, and are able to increase the machine utilization by
@@ -11,48 +50,18 @@ import (
 // the VLC co-locations of Figs 10–11 plus a Webservice sweep and reports
 // the gained-utilization spread.
 func Summary(seed int64) (*Figure, error) {
-	type row struct {
-		name string
-		fig  func(int64) (*Figure, error)
-		key  string
-	}
-	rows := []row{
-		{"VLC + CPUBomb", Fig10, "gain_stayaway"},
-		{"VLC + Twitter-Analysis", Fig11, "gain_stayaway"},
+	cells, err := summaryCells(seed, nil)
+	if err != nil {
+		return nil, err
 	}
 	var b strings.Builder
 	b.WriteString("Headline summary — gained utilization with Stay-Away (QoS guarded)\n\n")
 	summary := map[string]float64{}
 	minGain, maxGain := 1.0, 0.0
-	record := func(name string, gain, viol float64) {
-		fmt.Fprintf(&b, "  %-38s gain %5.1f%%  violations %4.1f%%\n", name, 100*gain, 100*viol)
-		summary["gain_"+name] = gain
-		if gain < minGain {
-			minGain = gain
-		}
-		if gain > maxGain {
-			maxGain = gain
-		}
-	}
-	for _, r := range rows {
-		f, err := r.fig(seed)
-		if err != nil {
-			return nil, err
-		}
-		record(r.name, f.Summary[r.key], f.Summary["violation_rate_stayaway"])
-	}
-	// Webservice sweep from Fig 12.
-	f12, err := Fig12(seed)
-	if err != nil {
-		return nil, err
-	}
-	for _, combo := range batchCombos() {
-		for _, kind := range webKinds {
-			key := fmt.Sprintf("gain_%s_%s", combo.name, kind)
-			vkey := fmt.Sprintf("viol_%s_%s", combo.name, kind)
-			record(fmt.Sprintf("Webservice(%s) + %s", kind, combo.name),
-				f12.Summary[key], f12.Summary[vkey])
-		}
+	for _, c := range cells {
+		fmt.Fprintf(&b, "  %-38s gain %5.1f%%  violations %4.1f%%\n", c.name, 100*c.gain, 100*c.viol)
+		summary["gain_"+c.name] = c.gain
+		minGain, maxGain = min(minGain, c.gain), max(maxGain, c.gain)
 	}
 	fmt.Fprintf(&b, "\ngained utilization spread: %.0f%% – %.0f%% (paper: 10%%–70%%)\n",
 		100*minGain, 100*maxGain)

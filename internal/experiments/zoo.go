@@ -52,6 +52,10 @@ type ZooRow struct {
 	UtilizationGain float64
 	// BatchWork is the protected run's total effective batch CPU.
 	BatchWork float64
+	// ReactiveRate and ReactiveWork are the violation rate and batch work
+	// of Stay-Away with its forecast off (the reactive reference).
+	ReactiveRate float64
+	ReactiveWork float64
 }
 
 // ZooReport is the scenario-zoo suite outcome the CI gate inspects.
@@ -150,8 +154,8 @@ func OpenVsClosed(seed int64) (*OpenClosedResult, error) {
 	return &res, nil
 }
 
-// runZooPair runs one scenario class unprotected and under Stay-Away with
-// the same seed and summarizes both runs.
+// runZooPair runs one scenario class unprotected, under Stay-Away and
+// under its reactive arm with the same seed and summarizes the runs.
 func runZooPair(base Scenario, traceDays float64) (ZooRow, error) {
 	row := ZooRow{Class: base.Name, Ticks: base.Ticks, TraceDays: traceDays}
 
@@ -171,12 +175,22 @@ func runZooPair(base Scenario, traceDays float64) (ZooRow, error) {
 		return row, fmt.Errorf("%s: %w", pr.Name, err)
 	}
 
+	re := pr
+	re.Name = base.Name + "-reactive"
+	re.Tune = reactive
+	resRe, err := Run(re)
+	if err != nil {
+		return row, fmt.Errorf("%s: %w", re.Name, err)
+	}
+
 	row.UnprotectedRate = Violations(resUn.Records).Rate
 	row.ProtectedRate = Violations(resPr.Records).Rate
 	row.UnprotectedUtil = resUn.AvgUtilization
 	row.ProtectedUtil = resPr.AvgUtilization
 	row.UtilizationGain = Mean(GainSeries(resPr.Records))
 	row.BatchWork = resPr.BatchWork
+	row.ReactiveRate = Violations(resRe.Records).Rate
+	row.ReactiveWork = resRe.BatchWork
 	return row, nil
 }
 
@@ -361,6 +375,8 @@ func ScenarioZoo(seed int64) (*Figure, *ZooReport, error) {
 		summary[key+"_protected_rate"] = r.ProtectedRate
 		summary[key+"_utilization_gain"] = r.UtilizationGain
 		summary[key+"_batch_work"] = r.BatchWork
+		summary[key+"_reactive_rate"] = r.ReactiveRate
+		summary[key+"_reactive_work"] = r.ReactiveWork
 	}
 	return &Figure{
 		ID:      "scenario-zoo",

@@ -57,6 +57,9 @@ func TestScenarioZoo(t *testing.T) {
 		if r.UtilizationGain <= 0 {
 			t.Errorf("%s: protected run should report gained utilization", r.Class)
 		}
+		if r.ProtectedRate > r.ReactiveRate || r.ReactiveWork <= 0 {
+			t.Errorf("%s: the forecast cost violations against reacting alone, or the reactive arm did no work: %+v", r.Class, r)
+		}
 	}
 }
 

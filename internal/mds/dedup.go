@@ -14,6 +14,11 @@ package mds
 // therefore deterministic and order-stable, and every representative is
 // an observed state (never a synthetic average), which keeps violation
 // labels attached to real measurements. epsilon <= 0 disables merging.
+//
+// A lane's map stage applies the same rule over its state space's own
+// vectors (statespace.Space.FirstWithin) rather than keep a second copy
+// of every representative; OnlineReducer is the rule's reference, and
+// checks an imported map for states the rule would have merged.
 type OnlineReducer struct {
 	epsilon float64
 	reps    [][]float64

@@ -171,6 +171,21 @@ func (s *Space) At(id int) (mds.Coord, []float64) {
 	return st.Coord, st.Vector
 }
 
+// FirstWithin returns the first state, in ID order, whose representative
+// vector lies within eps of v by mds.Euclidean — the dedup rule that maps
+// an observation onto a known state. eps <= 0 matches nothing. It
+// allocates nothing.
+func (s *Space) FirstWithin(v []float64, eps float64) (id int, ok bool) {
+	if eps > 0 {
+		for i := range s.states {
+			if mds.Euclidean(v, s.states[i].Vector) <= eps {
+				return i, true
+			}
+		}
+	}
+	return 0, false
+}
+
 // States returns a copy of all states.
 func (s *Space) States() []State {
 	out := make([]State, len(s.states))
