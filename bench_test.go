@@ -1,11 +1,9 @@
 package stayaway_test
 
-// The benchmark harness regenerates every table and figure of the paper's
-// evaluation (one benchmark per experiment; see DESIGN.md §4 for the
-// index) and runs the ablations DESIGN.md §5 calls out. Figure benchmarks
-// report their headline summary values as custom metrics so `go test
-// -bench` output doubles as a results table; the shape assertions
-// themselves live in internal/experiments tests.
+// The ablations DESIGN.md §5 calls out, a multi-day replay and the
+// per-period overhead, as benchmarks that report their results as custom
+// metrics. The paper's tables and figures are cmd/experiments outputs,
+// checked against results/.
 
 import (
 	"math/rand"
@@ -24,103 +22,6 @@ import (
 )
 
 const benchSeed = 42
-
-// benchFigure runs one figure generator per iteration and reports the
-// chosen summary keys as custom metrics.
-func benchFigure(b *testing.B, gen func(int64) (*experiments.Figure, error), keys ...string) {
-	b.Helper()
-	var last *experiments.Figure
-	for i := 0; i < b.N; i++ {
-		f, err := gen(benchSeed)
-		if err != nil {
-			b.Fatal(err)
-		}
-		last = f
-	}
-	for _, k := range keys {
-		if v, ok := last.Summary[k]; ok {
-			b.ReportMetric(v, k)
-		}
-	}
-}
-
-func BenchmarkFig01WikipediaTrace(b *testing.B) {
-	benchFigure(b, experiments.Fig01, "ratio")
-}
-
-func BenchmarkFig04ViolationRange(b *testing.B) {
-	benchFigure(b, func(int64) (*experiments.Figure, error) { return experiments.Fig04() }, "peak_d", "peak_r")
-}
-
-func BenchmarkFig05ExecutionModes(b *testing.B) {
-	benchFigure(b, experiments.Fig05, "modes_seen", "states")
-}
-
-func BenchmarkFig06Instantaneous(b *testing.B) {
-	benchFigure(b, experiments.Fig06, "violation_states", "max_jump")
-}
-
-func BenchmarkFig07Gradual(b *testing.B) {
-	benchFigure(b, experiments.Fig07, "throttled_ticks", "pauses")
-}
-
-func BenchmarkFig08VLCvsCPUBomb(b *testing.B) {
-	benchFigure(b, experiments.Fig08, "violation_rate_noprev", "violation_rate_stayaway")
-}
-
-func BenchmarkFig09VLCvsTwitter(b *testing.B) {
-	benchFigure(b, experiments.Fig09, "violation_rate_noprev", "violation_rate_stayaway")
-}
-
-func BenchmarkFig10UtilCPUBomb(b *testing.B) {
-	benchFigure(b, experiments.Fig10, "gain_noprev", "gain_stayaway")
-}
-
-func BenchmarkFig11UtilTwitter(b *testing.B) {
-	benchFigure(b, experiments.Fig11, "gain_noprev", "gain_stayaway")
-}
-
-func BenchmarkFig12WebserviceUtil(b *testing.B) {
-	benchFigure(b, experiments.Fig12,
-		"gain_Twitter_memory-intensive", "gain_CPUBomb_cpu-intensive")
-}
-
-func BenchmarkFig13Timeline(b *testing.B) {
-	benchFigure(b, experiments.Fig13,
-		"a_low_intensity_run", "a_high_intensity_run")
-}
-
-func BenchmarkFig14WebserviceMix(b *testing.B) {
-	benchFigure(b, experiments.Fig14, "viol_Twitter", "viol_CPUBomb")
-}
-
-func BenchmarkFig15WebserviceCPU(b *testing.B) {
-	benchFigure(b, experiments.Fig15, "viol_Twitter", "viol_CPUBomb")
-}
-
-func BenchmarkFig16WebserviceMemory(b *testing.B) {
-	benchFigure(b, experiments.Fig16, "viol_Twitter", "viol_MemoryBomb")
-}
-
-func BenchmarkFig17Template(b *testing.B) {
-	benchFigure(b, func(s int64) (*experiments.Figure, error) {
-		f, _, err := experiments.Fig17(s)
-		return f, err
-	}, "states", "violation_states")
-}
-
-func BenchmarkFig18TemplateReuse(b *testing.B) {
-	benchFigure(b, experiments.Fig18, "in_region_fraction", "violations")
-}
-
-func BenchmarkSummary10to70(b *testing.B) {
-	benchFigure(b, experiments.Summary, "min_gain", "max_gain")
-}
-
-func BenchmarkMultiTenantConflict(b *testing.B) {
-	benchFigure(b, experiments.MultiTenant,
-		"batch_retained", "viol_ratio_vlc-transcode", "viol_ratio_webservice")
-}
 
 // --- Ablations (DESIGN.md §5) ---
 
@@ -381,32 +282,6 @@ func BenchmarkAblationAggregation(b *testing.B) {
 		}
 		b.ReportMetric(s, "stress")
 	})
-}
-
-// BenchmarkAblationGraded compares the paper's binary pause/resume policy
-// against graded cpu.max-style quota stepping: equal-or-fewer violations
-// while retaining more batch throughput (work_retention > 1).
-func BenchmarkAblationGraded(b *testing.B) {
-	benchFigure(b, experiments.AblationGraded,
-		"violations_binary", "violations_graded", "work_retention")
-}
-
-// BenchmarkScenarioZoo runs the open-loop scenario-zoo suite (the
-// -scenarios CI gate) and reports the open-vs-closed ablation gap.
-func BenchmarkScenarioZoo(b *testing.B) {
-	var fig *experiments.Figure
-	for i := 0; i < b.N; i++ {
-		f, _, err := experiments.ScenarioZoo(benchSeed)
-		if err != nil {
-			b.Fatal(err)
-		}
-		fig = f
-	}
-	for _, k := range []string{"ablation_open_violations", "ablation_closed_violations", "ablation_peak_backlog"} {
-		if v, ok := fig.Summary[k]; ok {
-			b.ReportMetric(v, k)
-		}
-	}
 }
 
 // BenchmarkReplayMultiDay replays a 30-day diurnal trace through a full

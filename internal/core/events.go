@@ -99,9 +99,11 @@ type Report struct {
 	ViolationStates int
 	// Refreshes counts embeddings actually re-solved (SMACOF, or landmark
 	// MDS above Config.LandmarkThreshold); LastStress is the stress-1 of
-	// the most recent one. RefreshesSkipped counts scheduled refreshes
-	// the retained landmark basis made unnecessary. Landmarks is that
-	// basis's size — solved plus promoted since — and 0 with no basis.
+	// the most recent one, or of the landmark sub-problem of a fleet
+	// layout a bulk merge adopted since. RefreshesSkipped counts scheduled
+	// refreshes the retained landmark basis made unnecessary. Landmarks is
+	// that basis's size — solved or adopted, plus promoted since — and 0
+	// with no basis.
 	Refreshes        int
 	RefreshesSkipped int
 	Landmarks        int

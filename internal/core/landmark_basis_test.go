@@ -282,20 +282,7 @@ func TestBasisResolvesOnlyForUncoveredStates(t *testing.T) {
 // well past the landmark threshold and returns it with its template.
 func learnedLane(t *testing.T, seed int64) (*Runtime, *statespace.Template) {
 	t.Helper()
-	cfg := baseConfig()
-	cfg.LandmarkThreshold = 16
-	cfg.Seed = seed
-	rng := rand.New(rand.NewSource(seed))
-	var steps []envStep
-	for i := 0; i < 60; i++ {
-		steps = append(steps, active(20+300*rng.Float64(), 20+300*rng.Float64(), i%7 == 0))
-	}
-	r, _ := newTestRuntime(t, cfg, &fakeEnv{script: steps})
-	for i := range steps {
-		if _, err := r.Period(); err != nil {
-			t.Fatalf("period %d: %v", i, err)
-		}
-	}
+	r := scatteredLane(t, 16, 60, seed)
 	if r.lane.ms.landmarks == nil {
 		t.Fatal("learning run established no landmark basis")
 	}
@@ -356,8 +343,9 @@ func TestReplacingOrGrowingTheMapDropsTheBasis(t *testing.T) {
 	}
 
 	// Import and checkpoint restore replace the space under the stage. A
-	// period-0 merge — into no basis, so at the fleet's coordinates and
-	// solved at its end — can have built one by then; it must not survive.
+	// period-0 merge — into no basis, so at the fleet's coordinates, which
+	// it adopts at its end — can have built one by then; it must not
+	// survive.
 	for name, adopt := range map[string]func(*Runtime) error{
 		"import":  func(r *Runtime) error { return r.ImportTemplate(tpl) },
 		"restore": func(r *Runtime) error { return r.Lane().RestoreCheckpoint(donor.Lane().Checkpoint()) },

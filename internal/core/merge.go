@@ -38,7 +38,10 @@ var _ TemplateMerger = (*mapStage)(nil)
 // seen, and still compare correctly), its coordinates Procrustes-aligned
 // onto the live layout, and each state either folds into an ε-matching
 // local state (upgrading its label when the fleet saw a violation there)
-// or joins as a new state.
+// or joins as a new state. New states count toward the scheduled refresh;
+// when it falls due on a merge that added at least LandmarkThreshold states
+// to a map with no landmark basis, the fleet's layout becomes the map's
+// (adoptLayout) rather than being re-solved.
 func (m *mapStage) MergeTemplate(t *statespace.Template, period int) (MergeStats, error) {
 	var out MergeStats
 	if err := t.Validate(); err != nil {
@@ -79,7 +82,7 @@ func (m *mapStage) MergeTemplate(t *statespace.Template, period int) (MergeStats
 		// While a landmark basis stands an adopted state is created like an
 		// organic one — placed against the basis, promoted if uncovered —
 		// so the basis survives the merge. Without one it arrives at the
-		// fleet's aligned coordinates.
+		// fleet's aligned coordinates, which a bulk merge keeps.
 		var id int
 		if m.landmarks != nil {
 			var err error
@@ -103,16 +106,58 @@ func (m *mapStage) MergeTemplate(t *statespace.Template, period int) (MergeStats
 		}
 	}
 
-	// A bulk adoption degrades incremental-placement quality the same way
-	// a burst of organic new states would; let the periodic refresh fire
-	// on the same schedule.
+	// Adopted states count toward the periodic refresh like organic ones.
+	// When the refresh falls due on a bulk adoption into a map with no
+	// basis, the fleet's solved layout is kept instead of re-solved.
 	if m.cfg.RefreshEvery > 0 && m.createdSinceSMAC >= m.cfg.RefreshEvery && m.space.Len() >= 3 {
-		if err := m.refreshEmbedding(); err != nil {
+		var err error
+		if m.landmarks == nil && m.cfg.LandmarkThreshold > 0 && out.Added >= m.cfg.LandmarkThreshold {
+			err = m.adoptLayout(m.space.Len() - out.Added)
+		} else {
+			err = m.refreshEmbedding()
+		}
+		if err != nil {
 			return out, err
 		}
 		m.createdSinceSMAC = 0
 	}
 	return out, nil
+}
+
+// adoptLayout keeps the layout a bulk merge brought: the states from ID
+// first on sit at the fleet's solved coordinates, aligned onto the lane's,
+// and a landmark solve over the whole map would only redraw that solve —
+// worse, measured, than the fleet drew it. The basis is picked from them by
+// the farthest-point selection a landmark solve starts with; the lane's own
+// states are re-placed against it, as that solve would have placed them;
+// the covering radius spans every state; and the recorded stress is the
+// adopted landmark sub-problem's.
+func (m *mapStage) adoptLayout(first int) error {
+	vectors, coords := m.space.Vectors(), m.space.Coords()
+	k := m.cfg.LandmarkThreshold
+	landmarks, cover, dists := mds.MaxminLandmarks(vectors[first:], k, m.rng)
+	sub, err := mds.NewMatrix(len(landmarks))
+	if err != nil {
+		return err
+	}
+	basis := make([]mds.Coord, len(landmarks))
+	for i, l := range landmarks {
+		basis[i] = coords[first+l]
+		for j := i + 1; j < len(landmarks); j++ {
+			sub.Set(i, j, dists[l*k+j])
+		}
+		landmarks[i] += first
+	}
+	m.landmarks, m.stress = landmarks, mds.Stress1(sub, basis)
+	for id := range first {
+		pos, nearest, err := m.place(vectors[id])
+		if err != nil {
+			return fmt.Errorf("core: re-placing state %d: %w", id, err)
+		}
+		coords[id], cover = pos, max(cover, nearest)
+	}
+	m.coverRadius = cover
+	return m.space.SetCoords(coords)
 }
 
 // MergeTemplate folds a fleet template (or delta patch) into the lane's

@@ -32,15 +32,16 @@ type mapStage struct {
 	stress    float64
 
 	// The persistent landmark basis: the landmark set of the last landmark
-	// solve, grown online, and the radius within which that solve's set
-	// covered the states it saw. The landmark configuration itself is not
-	// kept — it is the landmarks' coordinates in the space. While the basis
-	// stands, a new state is placed against the landmarks only, and one
-	// that arrives farther than coverRadius from every landmark — the point
-	// farthest-point selection would have picked next — joins them, so
-	// every state stays within coverRadius of a landmark without a solve.
-	// A scheduled refresh re-solves only once the set has doubled. nil
-	// below Config.LandmarkThreshold and after the map was replaced.
+	// solve or adopted fleet layout (merge.go), grown online, and the
+	// radius within which that set covered the states it saw. The landmark
+	// configuration itself is not kept — it is the landmarks' coordinates
+	// in the space. While the basis stands, a new state is placed against
+	// the landmarks only, and one that arrives farther than coverRadius
+	// from every landmark — the point farthest-point selection would have
+	// picked next — joins them, so every state stays within coverRadius of
+	// a landmark without a solve. A scheduled refresh re-solves only once
+	// the set has doubled. nil below Config.LandmarkThreshold and after the
+	// map was replaced.
 	landmarks        []int
 	coverRadius      float64
 	refreshesSkipped int
@@ -161,12 +162,12 @@ func (m *mapStage) mapVector(period int, vec []float64) (stateID int, created bo
 // promoted to landmark when the basis does not cover it, and counted
 // toward the scheduled refresh.
 func (m *mapStage) createState(vec []float64, period int) (int, error) {
-	pos, uncovered, err := m.place(vec)
+	pos, nearest, err := m.place(vec)
 	if err != nil {
 		return 0, fmt.Errorf("core: incremental placement: %w", err)
 	}
 	id := m.space.Add(pos, vec, period)
-	if uncovered {
+	if nearest > m.coverRadius {
 		m.landmarks = append(m.landmarks, id)
 	}
 	m.createdSinceSMAC++
@@ -175,9 +176,10 @@ func (m *mapStage) createState(vec []float64, period int) (int, error) {
 	// onto the previous layout so trajectories stay comparable across
 	// refreshes. The first refresh fires as soon as four distinct states
 	// exist, because purely incremental placement of the earliest states
-	// is at its least reliable then.
+	// is at its least reliable then — unless an adopted fleet layout
+	// already gave the map its basis.
 	needRefresh := m.createdSinceSMAC >= m.cfg.RefreshEvery ||
-		(m.refreshes == 0 && m.space.Len() >= 4)
+		(m.refreshes == 0 && m.landmarks == nil && m.space.Len() >= 4)
 	if m.cfg.RefreshEvery > 0 && needRefresh && m.space.Len() >= 3 {
 		if err := m.refreshEmbedding(); err != nil {
 			return 0, err
@@ -191,8 +193,9 @@ func (m *mapStage) createState(vec []float64, period int) (int, error) {
 // incremental placement (§4's low-overhead path): against every state, or
 // against the landmarks alone while a landmark basis stands — the same
 // triangulation the landmark solve itself gave every non-landmark.
-// uncovered reports a vector farther than coverRadius from every landmark.
-func (m *mapStage) place(vec []float64) (pos mds.Coord, uncovered bool, err error) {
+// nearest is the vector's distance to the nearest landmark, 0 with no
+// basis.
+func (m *mapStage) place(vec []float64) (pos mds.Coord, nearest float64, err error) {
 	if m.landmarks == nil {
 		coords := m.space.Coords()
 		delta := make([]float64, len(coords))
@@ -200,13 +203,13 @@ func (m *mapStage) place(vec []float64) (pos mds.Coord, uncovered bool, err erro
 			delta[i] = mds.Euclidean(vec, v)
 		}
 		pos, _, err = mds.Place(coords, delta, mds.PlaceOptions{})
-		return pos, false, err
+		return pos, 0, err
 	}
 	// Stack scratch up to 256 landmarks; append moves to the heap past it.
 	var coordBuf [256]mds.Coord
 	var deltaBuf [256]float64
 	coords, delta := coordBuf[:0], deltaBuf[:0]
-	nearest := math.Inf(1)
+	nearest = math.Inf(1)
 	for _, id := range m.landmarks {
 		c, v := m.space.At(id)
 		d := mds.Euclidean(vec, v)
@@ -214,7 +217,7 @@ func (m *mapStage) place(vec []float64) (pos mds.Coord, uncovered bool, err erro
 		nearest = math.Min(nearest, d)
 	}
 	pos, _, err = mds.Place(coords, delta, mds.PlaceOptions{})
-	return pos, nearest > m.coverRadius, err
+	return pos, nearest, err
 }
 
 // refreshEmbedding re-solves the full MDS problem and keeps the layout

@@ -54,7 +54,7 @@ func LandmarkMDSVectors(vectors [][]float64, k int, opts Options) (*LandmarkResu
 	// The selection measures every point against every landmark it picks;
 	// the landmark submatrix and the triangulation read those distances
 	// instead of measuring them again.
-	landmarks, cover, dists := maxminLandmarks(vectors, k, opts.RNG)
+	landmarks, cover, dists := MaxminLandmarks(vectors, k, opts.RNG)
 	sub, err := NewMatrix(len(landmarks))
 	if err != nil {
 		return nil, err
@@ -97,15 +97,16 @@ func LandmarkMDSVectors(vectors [][]float64, k int, opts Options) (*LandmarkResu
 	}, nil
 }
 
-// maxminLandmarks greedily picks k points maximizing the minimum distance
+// MaxminLandmarks greedily picks k points maximizing the minimum distance
 // to already-chosen landmarks, starting from a random seed point. This is
 // the standard farthest-point heuristic: it spreads landmarks across the
 // data's extent so the triangulation anchors every region. The second
 // result is the covering radius — the distance from the farthest
 // remaining point to its nearest landmark, which the selection has in
 // hand as the score of the point it would pick next. The third holds the
-// distance from point p to the c-th landmark at dists[p*k+c].
-func maxminLandmarks(vectors [][]float64, k int, rng *rand.Rand) ([]int, float64, []float64) {
+// distance from point p to the c-th landmark at dists[p*k+c]. k must be
+// in [1, len(vectors)].
+func MaxminLandmarks(vectors [][]float64, k int, rng *rand.Rand) ([]int, float64, []float64) {
 	n := len(vectors)
 	chosen := make([]int, 0, k)
 	dists := make([]float64, n*k)

@@ -270,7 +270,7 @@ func TestLandmarkMDSCoincidentPoints(t *testing.T) {
 func TestMaxminLandmarksSpread(t *testing.T) {
 	// Two far clusters: the first two landmarks must hit both clusters.
 	truth := []Coord{{0, 0}, {0.1, 0}, {0.2, 0}, {10, 0}, {10.1, 0}, {10.2, 0}}
-	lms, _, _ := maxminLandmarks(vectorsOf(truth), 2, rand.New(rand.NewSource(5)))
+	lms, _, _ := MaxminLandmarks(vectorsOf(truth), 2, rand.New(rand.NewSource(5)))
 	if len(lms) != 2 {
 		t.Fatalf("landmarks = %v", lms)
 	}
